@@ -122,7 +122,7 @@ main(int argc, char** argv)
         faults::FaultStats stats;
     };
     std::vector<MixOutcome> outcomes(mixes.size());
-    harness::parallelFor(mixes.size(), opt.threads, [&](std::size_t m) {
+    common::parallelFor(mixes.size(), opt.threads, [&](std::size_t m) {
         const auto& mix = mixes[m];
         const auto plan =
             faults::FaultPlan::escalating(mix.jobs.size(), horizon);

@@ -70,7 +70,7 @@ sweepComparisons(const PlatformSpec& platform,
     for (std::size_t m = 0; m < mixes.size(); m += stride)
         selected.push_back(m);
     std::vector<harness::MixComparison> out(selected.size());
-    harness::parallelFor(selected.size(), threads, [&](std::size_t i) {
+    common::parallelFor(selected.size(), threads, [&](std::size_t i) {
         const std::size_t m = selected[i];
         out[i] = harness::comparePolicies(
             platform, mixes[m], policies, opt,

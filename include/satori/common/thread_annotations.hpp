@@ -1,7 +1,7 @@
 /**
  * @file
  * Clang thread-safety annotations and the annotated lock primitives
- * the concurrency-bearing layers (harness::ThreadPool, the obs sinks,
+ * the concurrency-bearing layers (common::ThreadPool, the obs sinks,
  * analysis::Auditor) build on.
  *
  * The macros expand to clang's `-Wthread-safety` attributes when the

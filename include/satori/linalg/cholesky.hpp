@@ -5,15 +5,12 @@
  * for near-singular cases (duplicate GP sample points).
  *
  * The factor is held in packed row-major triangular storage (row i
- * starts at offset i*(i+1)/2 and has i+1 entries), which is what makes
- * the sliding-window operations cheap: a rank-1 append grows the
- * buffer by one row in O(n) instead of copying an n x n matrix, and
- * downdate() rewrites the triangle once. All solves and the
- * factorization itself run the exact arithmetic (operand values and
- * per-element operation order) of the historical dense-Matrix
- * implementation, so factors, solves, and logDet() are bit-identical
- * to it; only solveUpperBlocked() trades that pinned order for speed,
- * and says so.
+ * starts at offset i*(i+1)/2 and has i+1 entries), so a rank-1 append
+ * grows the buffer by one row in O(n) instead of copying an n x n
+ * matrix. All solves and the factorization itself run the exact
+ * arithmetic (operand values and per-element operation order) of the
+ * historical dense-Matrix implementation, so factors, solves, and
+ * logDet() are bit-identical to it.
  */
 
 #ifndef SATORI_LINALG_CHOLESKY_HPP
@@ -96,50 +93,6 @@ class Cholesky
     [[nodiscard]] bool update(const std::vector<double>& cross, double diag);
 
     /**
-     * Remove row/column 0 (the oldest sample): turn the factor of the
-     * n x n matrix A into the factor of its trailing (n-1) x (n-1)
-     * block A22, in O(n^2). Because A22 = L22 L22^T + x x^T with x the
-     * first column of L below the pivot, this is a rank-1 *update* of
-     * the trailing factor (a sweep of Givens-like rotations with
-     * r = sqrt(d^2 + x^2)), which is unconditionally SPD-stable: it
-     * can only fail on non-finite intermediates (overflow or a factor
-     * already poisoned by inf/nan). On failure the factor is left
-     * untouched and false is returned - the caller refactorizes from
-     * scratch (mirroring update()'s SPD-failure contract).
-     *
-     * The rotated factor equals the fresh factorization of A22 (at
-     * the same jitter) mathematically but not bitwise in general;
-     * when the evicted sample is uncorrelated with the rest (its
-     * cross-covariance column is exactly zero) the sweep degenerates
-     * to a pure compaction and IS bit-identical to a fresh
-     * factorization of A22. Window replay therefore pins byte
-     * *stability* (same sequence of operations, same bytes), not
-     * byte equality with a from-scratch refit.
-     *
-     * @return true if the factor was downdated. @pre size() >= 1.
-     */
-    [[nodiscard]] bool downdate();
-
-    /**
-     * Rank-1 update in place: turn the factor of A into the factor of
-     * A + v v^T via the same stable rotation sweep downdate() runs.
-     * Fails only on non-finite intermediates; on failure the factor
-     * is left untouched. @pre v.size() == size().
-     */
-    [[nodiscard]] bool rankOneUpdate(const std::vector<double>& v);
-
-    /**
-     * Rank-1 downdate in place: turn the factor of A into the factor
-     * of A - v v^T via hyperbolic rotations. Unlike rankOneUpdate this
-     * can genuinely fail - A - v v^T may not be positive definite, and
-     * the sweep refuses when any hyperbolic cosine collapses (|s| >= 1)
-     * or an intermediate goes non-finite. On failure the factor is
-     * left untouched and the caller must refactorize.
-     * @pre v.size() == size().
-     */
-    [[nodiscard]] bool rankOneDowndate(const std::vector<double>& v);
-
-    /**
      * Solve L y = b (forward substitution). Rows are processed in
      * interleaved blocks for instruction-level parallelism, but every
      * row's subtraction chain keeps solveLower's historical ascending
@@ -182,26 +135,8 @@ class Cholesky
     /** Solve L^T x = b (backward substitution, historical op order). */
     [[nodiscard]] std::vector<double> solveUpper(const std::vector<double>& b) const;
 
-    /**
-     * Solve L^T x = b with column-blocked accumulation. Backward
-     * substitution under the historical per-column ascending-k order
-     * is one serial dependency chain over the whole triangle (column
-     * ii's first subtraction needs x[ii+1] final), so unlike the other
-     * solves this one cannot be accelerated without reassociating.
-     * This variant accumulates each column's tail in 4-column blocks
-     * (deterministic, documented order: in-block terms first, then the
-     * streamed tail ascending) - roughly 3x faster at n=1000 but NOT
-     * bit-identical to solveUpper(). Used by the windowed/approx fast
-     * paths, whose contract is byte stability, never by the default
-     * exact path, whose contract is byte equality with history.
-     */
-    [[nodiscard]] std::vector<double> solveUpperBlocked(const std::vector<double>& b) const;
-
     /** Solve A x = b via the two triangular solves. */
     [[nodiscard]] std::vector<double> solve(const std::vector<double>& b) const;
-
-    /** solve() with the blocked backward pass (see solveUpperBlocked). */
-    [[nodiscard]] std::vector<double> solveBlocked(const std::vector<double>& b) const;
 
     /** log(det(A)) = 2 * sum(log(L_ii)). */
     [[nodiscard]] double logDet() const;
@@ -223,17 +158,6 @@ class Cholesky
     std::vector<double> tri_;
     std::size_t n_ = 0;
     double jitter_ = 0.0;
-
-    /** Sweep target for downdate/rankOne ops: the new triangle is
-     * built here and swapped in only after validation, so a failed
-     * sweep leaves the factor untouched. */
-    std::vector<double> sweep_scratch_;
-
-    /** Rotation parameters (scaled sine s_k and inverse cosine 1/c_k)
-     * produced row by row during a rotation sweep; kept as members so
-     * steady-state windowed updates do not allocate. */
-    std::vector<double> rot_s_;
-    std::vector<double> rot_ic_;
 };
 
 } // namespace linalg

@@ -9,9 +9,9 @@
  * vector path is therefore bit-identical to the scalar path - a
  * pure throughput optimization - and simd_test pins that with
  * memcmp. The one function with its own numerics, fastExpNegInto(),
- * is an *approximation* of std::exp(-z) (used only by the gated
- * approximate-GP path, never by exact decision paths), but it too
- * is bit-identical between its scalar and vector implementations.
+ * is an *approximation* of std::exp(-z) (never used by the exact
+ * decision paths), but it too is bit-identical between its scalar
+ * and vector implementations.
  *
  * Dispatch is resolved once at startup: when the library is built
  * with SATORI_SIMD=ON and the CPU reports AVX2, the kernels run the
@@ -85,8 +85,8 @@ void accumSquare(double* acc, const double* xs, std::size_t n);
  *
  * Cody-Waite range reduction with a fixed-order polynomial; relative
  * error is below 1e-9 over the covariance-relevant range (z in
- * [0, 50]), and inputs beyond 708 flush to exactly 0. This is the
- * approximate-GP kernel evaluation - exact paths keep libm exp().
+ * [0, 50]), and inputs beyond 708 flush to exactly 0. Exact paths
+ * keep libm exp().
  * In-place operation (out == z) is allowed; partial overlap is not.
  */
 void fastExpNegInto(double* out, const double* z, std::size_t n);
@@ -98,9 +98,8 @@ void fastExpNegInto(double* out, const double* z, std::size_t n);
  * polynomial, and exponential all run vectorized in one pass.
  * @p scaled_inv_ls is sqrt(5)/length_scale, precomputed by the
  * caller so the per-element division disappears. exp(-z) is the
- * fastExpNegInto approximation, so like it this kernel serves only
- * the gated approximate-GP path (exact paths keep covarianceRow's
- * libm arithmetic); scalar and vector implementations are
+ * fastExpNegInto approximation, so exact paths keep covarianceRow's
+ * libm arithmetic instead; scalar and vector implementations are
  * bit-identical. In-place operation (out == d2) is allowed.
  */
 void matern52FromSqDistInto(double* out, const double* d2,

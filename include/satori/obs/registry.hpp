@@ -172,7 +172,7 @@ struct MetricsSnapshot
  *
  * Thread-safety: registration, snapshot(), size(), and reset() are
  * serialized by an internal mutex, so concurrent components (e.g.
- * per-node controllers on a harness::ThreadPool) can register
+ * per-node controllers on a common::ThreadPool) can register
  * instruments safely. Updates *through a returned reference* stay
  * lock-free by design — that is the hot-path contract above — so a
  * snapshot taken while another thread updates an instrument sees a

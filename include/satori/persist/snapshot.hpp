@@ -48,8 +48,10 @@ namespace persist {
 /** Bumped on any incompatible change to the snapshot encoding.
  * v2: BoEngine::saveState appends the decision-path configuration
  * (max_history, approx, screen) so restore can refuse a mismatched
- * resume. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
+ * resume.
+ * v3: BoEngine::saveState drops those three fields again; the engine
+ * has one decision path. */
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /** Assembles one snapshot: named sections, then an atomic install. */
 class SnapshotWriter

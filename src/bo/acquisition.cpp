@@ -38,43 +38,6 @@ probabilityOfImprovement(const GpPrediction& pred, double best_observed,
 }
 
 double
-acquisitionUpperBound(AcquisitionKind kind, double mean, double sigma_max,
-                      double best_observed, double xi, double beta)
-{
-    // `improvement` is computed with exactly the expression the exact
-    // scorers use, so the two agree bit-for-bit on the shared term.
-    const double improvement = mean - best_observed - xi;
-    switch (kind) {
-      case AcquisitionKind::ExpectedImprovement: {
-        // EI = imp * Phi(z) + sigma * phi(z) <= max(imp, 0) +
-        // sigma_max * phi(0). The constant rounds phi(0) up; the
-        // (1 + 1e-12) slack dominates the <= 6-op rounding of the
-        // exact evaluation (~5e-16 relative).
-        constexpr double kPhi0Up = 0.3989422804014327;
-        return (std::max(improvement, 0.0) + kPhi0Up * sigma_max) *
-               (1.0 + 1e-12);
-      }
-      case AcquisitionKind::Ucb:
-        // beta >= 0: fl multiplication and addition are monotone, so
-        // mean + beta * sigma_max dominates exactly - no slack
-        // needed. beta < 0: beta * sigma <= 0, so mean itself is an
-        // upper bound.
-        return mean + std::max(beta * sigma_max, 0.0);
-      case AcquisitionKind::ProbabilityOfImprovement: {
-        if (improvement >= 0.0)
-            return 1.0000001; // PI <= 1 plus normalCdf rounding room.
-        if (sigma_max < 1e-12)
-            return 1e-12; // exact path returns 0 here.
-        // imp < 0: Phi(imp / sigma) is increasing in sigma, so
-        // sigma_max maximizes it; slack covers normalCdf rounding.
-        return normalCdf(improvement / sigma_max) * (1.0 + 1e-9) +
-               1e-12;
-      }
-    }
-    SATORI_PANIC("unknown AcquisitionKind");
-}
-
-double
 acquisition(AcquisitionKind kind, const GpPrediction& pred,
             double best_observed, double xi, double beta)
 {

@@ -5,27 +5,17 @@
 
 #include "satori/analysis/invariants.hpp"
 #include "satori/common/logging.hpp"
-#include "satori/common/parallel.hpp"
 #include "satori/obs/obs.hpp"
 #include "satori/persist/codec.hpp"
 
 namespace satori {
 namespace bo {
 
-namespace {
-
-/** Below this many candidates, chunked threading cannot beat the
- * spawn/wake overhead - score serially regardless of acq_threads. */
-constexpr std::size_t kParallelMinCandidates = 512;
-
-} // namespace
-
 BoEngine::BoEngine(EngineOptions options) : options_(std::move(options))
 {
     gp_ = std::make_unique<GaussianProcess>(
         std::make_unique<Matern52Kernel>(options_.length_scale),
         options_.noise_variance);
-    gp_->setMaxHistory(options_.max_history);
 }
 
 void
@@ -50,67 +40,10 @@ BoEngine::addSample(const RealVec& input, double target)
 }
 
 void
-BoEngine::trimToWindow()
-{
-    if (options_.max_history == 0 ||
-        inputs_.size() <= options_.max_history)
-        return;
-    const auto drop = static_cast<std::ptrdiff_t>(
-        inputs_.size() - options_.max_history);
-    inputs_.erase(inputs_.begin(), inputs_.begin() + drop);
-    targets_.erase(targets_.begin(), targets_.begin() + drop);
-}
-
-bool
-BoEngine::approxActive() const
-{
-    return options_.approx &&
-           inputs_.size() >= options_.approx_min_samples;
-}
-
-void
-BoEngine::ensureApproxGp()
-{
-    if (approx_gp_)
-        return;
-    // Carry the exact GP's (possibly grid-adapted) length scale over
-    // so the regimes model the same covariance family.
-    const double ls = (gp_ && gp_->isFitted())
-                          ? gp_->kernel().lengthScale()
-                          : options_.length_scale;
-    approx_gp_ = std::make_unique<ApproxGp>(
-        std::make_unique<Matern52Kernel>(ls), options_.noise_variance,
-        options_.approx_inducing);
-    approx_gp_->setMaxHistory(options_.max_history);
-}
-
-void
 BoEngine::refit(bool appended)
 {
     SATORI_OBS_SPAN("bo.fit");
     SATORI_OBS_METRIC(bo_fits.inc());
-    // Trim before taking any appended-element reference: the erase
-    // shifts the vector.
-    trimToWindow();
-    if (approxActive()) {
-        // Approximate regime: only the SoR model tracks updates (the
-        // exact GP would defeat the point at O(n^2) each). The grid-
-        // refit phase freezes and the exact GP goes stale; regime
-        // exit resyncs it with one full fit.
-        ensureApproxGp();
-        if (appended && approx_gp_->isFitted())
-            approx_gp_->addObservation(inputs_.back(), targets_.back());
-        else
-            approx_gp_->fitIncremental(inputs_, targets_);
-        gp_stale_ = true;
-        return;
-    }
-    if (gp_stale_) {
-        ++fits_since_grid_;
-        gp_->fit(inputs_, targets_);
-        gp_stale_ = false;
-        return;
-    }
     ++fits_since_grid_;
     const bool use_grid = !options_.length_scale_grid.empty() &&
                           options_.grid_refit_period > 0 &&
@@ -160,114 +93,6 @@ BoEngine::suggestIndex(const std::vector<RealVec>& candidates,
     return suggestImpl(candidates, &penalties);
 }
 
-void
-BoEngine::scoreExactInto(const std::vector<RealVec>& xs,
-                         std::vector<GpPrediction>& preds) const
-{
-    preds.resize(xs.size());
-    const std::size_t threads = options_.acq_threads == 0
-                                    ? common::defaultThreadCount()
-                                    : options_.acq_threads;
-    if (threads <= 1 || xs.size() < kParallelMinCandidates) {
-        gp_->predictRangeInto(xs, 0, xs.size(), preds.data(),
-                              acq_scratch_, true);
-        return;
-    }
-    // Contiguous chunks, one scratch per chunk (not per worker -
-    // chunks outnumber nothing and never share), so results are
-    // bit-identical to the serial sweep at any thread count:
-    // predictRangeInto is lane-parallel per candidate and writes only
-    // its own output slots.
-    const std::size_t chunks = std::min(threads, xs.size());
-    const std::size_t per = (xs.size() + chunks - 1) / chunks;
-    if (thread_scratch_.size() < chunks)
-        thread_scratch_.resize(chunks);
-    common::parallelFor(chunks, threads, [&](std::size_t c) {
-        const std::size_t lo = c * per;
-        const std::size_t hi = std::min(xs.size(), lo + per);
-        if (lo < hi)
-            gp_->predictRangeInto(xs, lo, hi, preds.data() + lo,
-                                  thread_scratch_[c], true);
-    });
-}
-
-std::size_t
-BoEngine::suggestScreened(const std::vector<RealVec>& candidates,
-                          const std::vector<double>* penalties,
-                          double best) const
-{
-    const std::size_t count = candidates.size();
-    // Cheap pass: exact posterior means (O(n) per candidate, no
-    // triangular solve) plus one global stddev cap.
-    gp_->predictMeansInto(candidates, means_scratch_);
-    const double sigma_max = gp_->maxStddev();
-    bounds_scratch_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        double bound = acquisitionUpperBound(
-            options_.acquisition, means_scratch_[i], sigma_max, best,
-            options_.xi, options_.ucb_beta);
-        if (penalties != nullptr)
-            bound -= (*penalties)[i];
-        bounds_scratch_[i] = bound;
-    }
-    // Seed: the bound-argmax, scored exactly. Every candidate whose
-    // bound is below the seed's exact score has exact score <= bound
-    // < seed_score <= max score, so it can be neither the argmax nor
-    // tied with it - pruning it cannot change the decision. The
-    // comparison is written !(bound < seed_score) so NaNs survive to
-    // the exact pass, which treats them exactly as the dense loop
-    // would.
-    double best_bound = -std::numeric_limits<double>::infinity();
-    std::size_t seed = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (bounds_scratch_[i] > best_bound) {
-            best_bound = bounds_scratch_[i];
-            seed = i;
-        }
-    }
-    GpPrediction seed_pred;
-    gp_->predictRangeInto(candidates, seed, seed + 1, &seed_pred,
-                          acq_scratch_, true);
-    double seed_score = acquisition(options_.acquisition, seed_pred,
-                                    best, options_.xi,
-                                    options_.ucb_beta);
-    if (penalties != nullptr)
-        seed_score -= (*penalties)[seed];
-    surv_idx_scratch_.clear();
-    surv_cands_scratch_.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!(bounds_scratch_[i] < seed_score)) {
-            surv_idx_scratch_.push_back(i);
-            surv_cands_scratch_.push_back(candidates[i]);
-        }
-    }
-    // The seed's own bound dominates its exact score, so it always
-    // survives and the survivor set is never empty.
-    SATORI_ASSERT(!surv_idx_scratch_.empty());
-    stats_.screen_kept = surv_idx_scratch_.size();
-    stats_.screen_pruned = count - surv_idx_scratch_.size();
-    SATORI_OBS_METRIC(bo_screen_kept.inc(stats_.screen_kept));
-    SATORI_OBS_METRIC(bo_screen_pruned.inc(stats_.screen_pruned));
-    // Exact scores for the survivors only. Survivors keep ascending
-    // original order, so first-wins argmax over them reproduces the
-    // dense loop's tie-breaking bit for bit.
-    scoreExactInto(surv_cands_scratch_, preds_scratch_);
-    double best_score = -std::numeric_limits<double>::infinity();
-    std::size_t best_idx = surv_idx_scratch_[0];
-    for (std::size_t j = 0; j < surv_idx_scratch_.size(); ++j) {
-        double score = acquisition(options_.acquisition,
-                                   preds_scratch_[j], best,
-                                   options_.xi, options_.ucb_beta);
-        if (penalties != nullptr)
-            score -= (*penalties)[surv_idx_scratch_[j]];
-        if (score > best_score) {
-            best_score = score;
-            best_idx = surv_idx_scratch_[j];
-        }
-    }
-    return best_idx;
-}
-
 std::size_t
 BoEngine::suggestImpl(const std::vector<RealVec>& candidates,
                       const std::vector<double>* penalties) const
@@ -278,42 +103,20 @@ BoEngine::suggestImpl(const std::vector<RealVec>& candidates,
         static_cast<double>(candidates.size())));
     SATORI_ASSERT(ready());
     SATORI_ASSERT(!candidates.empty());
-    stats_ = SuggestStats{};
     const double best = bestObserved();
-    const bool use_approx =
-        approxActive() && approx_gp_ && approx_gp_->isFitted();
+    gp_->predictBatchInto(candidates, preds_scratch_);
     std::size_t best_idx = 0;
-    if (!use_approx && options_.screen && candidates.size() >= 2) {
-        best_idx = suggestScreened(candidates, penalties, best);
-    } else {
-        if (use_approx) {
-            stats_.approx_active = true;
-            // The decision loop re-scores the same candidate lattice
-            // every interval; the cached path amortizes the kernel
-            // block and variance solve across decisions (misses fall
-            // back to exactly what predictBatchInto computes).
-            approx_gp_->predictBatchCachedInto(candidates,
-                                               preds_scratch_);
-        } else {
-            scoreExactInto(candidates, preds_scratch_);
-        }
-        stats_.screen_kept = candidates.size();
-        double best_score = -std::numeric_limits<double>::infinity();
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-            double score = acquisition(options_.acquisition,
-                                       preds_scratch_[i], best,
-                                       options_.xi, options_.ucb_beta);
-            if (penalties != nullptr)
-                score -= (*penalties)[i];
-            if (score > best_score) {
-                best_score = score;
-                best_idx = i;
-            }
+    double best_score = -std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        double score = acquisition(options_.acquisition, preds_scratch_[i],
+                                   best, options_.xi, options_.ucb_beta);
+        if (penalties != nullptr)
+            score -= (*penalties)[i];
+        if (score > best_score) {
+            best_score = score;
+            best_idx = i;
         }
     }
-    stats_.window_evictions =
-        (gp_ ? gp_->windowEvictions() : 0) +
-        (approx_gp_ ? approx_gp_->windowEvictions() : 0);
     return best_idx;
 }
 
@@ -321,8 +124,6 @@ GpPrediction
 BoEngine::predict(const RealVec& x) const
 {
     SATORI_ASSERT(ready());
-    if (approxActive() && approx_gp_ && approx_gp_->isFitted())
-        return approx_gp_->predict(x);
     return gp_->predict(x);
 }
 
@@ -332,13 +133,6 @@ BoEngine::probeMeans(const std::vector<RealVec>& probes) const
     SATORI_OBS_SPAN("bo.probe");
     SATORI_ASSERT(ready());
     std::vector<double> means;
-    if (approxActive() && approx_gp_ && approx_gp_->isFitted()) {
-        approx_gp_->predictBatchInto(probes, preds_scratch_);
-        means.reserve(probes.size());
-        for (const auto& pred : preds_scratch_)
-            means.push_back(pred.mean);
-        return means;
-    }
     // Means-only pass: bit-identical means, no per-probe O(n^2)
     // variance solve.
     gp_->predictMeansInto(probes, means);
@@ -361,13 +155,6 @@ BoEngine::saveState(persist::StateWriter& w) const
     for (const RealVec& x : inputs_)
         w.putDoubleVec(x);
     w.putDoubleVec(targets_);
-    // v2 fields: the decision-path shape the training set was built
-    // under. Restore refuses a mismatch - silently resuming a
-    // windowed run unwindowed (or vice versa) would corrupt the
-    // window semantics without any error surfacing later.
-    w.putSize(options_.max_history);
-    w.putBool(options_.approx);
-    w.putBool(options_.screen);
 }
 
 void
@@ -386,36 +173,16 @@ BoEngine::restoreState(persist::StateReader& r)
         SATORI_FATAL("BO engine state has " +
                      std::to_string(inputs_.size()) + " inputs but " +
                      std::to_string(targets_.size()) + " targets");
-    const std::size_t max_history = r.getSize();
-    const bool approx = r.getBool();
-    const bool screen = r.getBool();
-    if (max_history != options_.max_history ||
-        approx != options_.approx || screen != options_.screen)
-        SATORI_FATAL("BO engine state was saved under a different "
-                     "decision-path configuration (max_history/approx/"
-                     "screen mismatch)");
     // Rebuild the GP at the saved length scale and refit the full
     // training set. A full fit is bit-identical to the incremental
     // update paths (pinned by the GP tests), so the resumed posterior
-    // matches the uninterrupted run exactly in the default
-    // configuration; windowed state restores under the window's
-    // byte-STABILITY (tolerance-level) contract instead, since the
-    // saved samples are the already-trimmed window. A plain refit
-    // does not advance fits_since_grid_, preserving the grid-refit
-    // timing.
+    // matches the uninterrupted run exactly. A plain refit does not
+    // advance fits_since_grid_, preserving the grid-refit timing.
     gp_ = std::make_unique<GaussianProcess>(
         std::make_unique<Matern52Kernel>(length_scale),
         options_.noise_variance);
-    gp_->setMaxHistory(options_.max_history);
-    gp_stale_ = false;
-    approx_gp_.reset();
-    if (fitted && !inputs_.empty()) {
+    if (fitted && !inputs_.empty())
         gp_->fit(inputs_, targets_);
-        if (approxActive()) {
-            ensureApproxGp();
-            approx_gp_->fit(inputs_, targets_);
-        }
-    }
 }
 
 } // namespace bo

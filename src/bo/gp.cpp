@@ -27,15 +27,6 @@ namespace {
  */
 constexpr double kScaleDriftTolerance = 32.0;
 
-/**
- * Condition-estimate ceiling for a downdated factor. Every eviction
- * rotates the trailing factor in place; if the survivor ends up this
- * ill-conditioned (legitimately, e.g. near-duplicate inputs at tiny
- * jitter) a fresh jitter-escalated factorization replaces it rather
- * than letting solves run against a numerically exhausted triangle.
- */
-constexpr double kWindowConditionLimit = 1e12;
-
 /** Candidate block size for the batched prediction paths: bounds the
  * kstar/v scratch at n x 256 doubles so a 10k-candidate sweep stays
  * cache-resident instead of materializing a 10k-row matrix. */
@@ -66,9 +57,7 @@ GaussianProcess::GaussianProcess(const GaussianProcess& other)
                 ? std::make_unique<linalg::Cholesky>(*other.chol_)
                 : nullptr),
       alpha_(other.alpha_), log_marginal_(other.log_marginal_),
-      k_cache_(other.k_cache_), anchor_scale_(other.anchor_scale_),
-      max_history_(other.max_history_),
-      window_evictions_(other.window_evictions_)
+      k_cache_(other.k_cache_), anchor_scale_(other.anchor_scale_)
 {
 }
 
@@ -88,34 +77,9 @@ GaussianProcess::fit(const std::vector<RealVec>& inputs,
 {
     SATORI_ASSERT(inputs.size() == targets.size());
     SATORI_ASSERT(!inputs.empty());
-    if (windowed() && inputs.size() > max_history_) {
-        // A windowed GP only ever fits the newest max_history_
-        // samples; older ones would be evicted immediately anyway.
-        const std::size_t skip = inputs.size() - max_history_;
-        inputs_.assign(inputs.begin() + static_cast<std::ptrdiff_t>(skip),
-                       inputs.end());
-        y_raw_.assign(targets.begin() + static_cast<std::ptrdiff_t>(skip),
-                      targets.end());
-    } else {
-        inputs_ = inputs;
-        y_raw_ = targets;
-    }
+    inputs_ = inputs;
+    y_raw_ = targets;
     fitStandardized();
-}
-
-void
-GaussianProcess::setMaxHistory(std::size_t max_history)
-{
-    max_history_ = max_history;
-    if (windowed()) {
-        // The dense cache is not maintained across evictions; drop it
-        // now so no stale copy survives the first one.
-        k_cache_ = linalg::Matrix();
-    } else if (fitted_) {
-        // Back to unwindowed: the incremental paths assume the cache
-        // mirrors inputs_, so restore that invariant.
-        buildKernelCache();
-    }
 }
 
 void
@@ -123,17 +87,6 @@ GaussianProcess::fitStandardized()
 {
     buildKernelCache();
     refitFromCache();
-    if (windowed())
-        k_cache_ = linalg::Matrix();
-}
-
-void
-GaussianProcess::refreshFactorization()
-{
-    if (windowed())
-        fitStandardized();
-    else
-        refitFromCache();
 }
 
 void
@@ -182,11 +135,7 @@ GaussianProcess::standardizeAndSolve()
     y_std_.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         y_std_[i] = (y_raw_[i] - y_mean_) / y_scale_;
-    // The windowed fast path takes the blocked backward solve (byte-
-    // stable, not byte-equal to history - see solveUpperBlocked); the
-    // default path keeps the historical order bit for bit.
-    alpha_ = windowed() ? chol_->solveBlocked(y_std_)
-                        : chol_->solve(y_std_);
+    alpha_ = chol_->solve(y_std_);
 
     // log p(y|X) = -0.5 y^T alpha - 0.5 log|K| - n/2 log(2 pi)
     log_marginal_ = -0.5 * linalg::dot(y_std_, alpha_) -
@@ -207,46 +156,17 @@ GaussianProcess::tryExtendFactor(const RealVec& x)
     double diag = kernel_->covariance(x, x);
     diag += noise_variance_;
 
-    if (!windowed()) {
-        linalg::Matrix grown(n + 1, n + 1);
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = 0; j < n; ++j)
-                grown(i, j) = k_cache_(i, j);
-            grown(i, n) = cross[i];
-            grown(n, i) = cross[i];
-        }
-        grown(n, n) = diag;
-        k_cache_ = std::move(grown);
+    linalg::Matrix grown(n + 1, n + 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j)
+            grown(i, j) = k_cache_(i, j);
+        grown(i, n) = cross[i];
+        grown(n, i) = cross[i];
     }
+    grown(n, n) = diag;
+    k_cache_ = std::move(grown);
     inputs_.push_back(x);
     return chol_->update(cross, diag);
-}
-
-void
-GaussianProcess::evictOldest()
-{
-    SATORI_ASSERT(!inputs_.empty());
-    const bool ok = chol_->downdate();
-    inputs_.erase(inputs_.begin());
-    y_raw_.erase(y_raw_.begin());
-    ++window_evictions_;
-    SATORI_OBS_METRIC(bo_window_evictions.inc());
-    if (inputs_.empty())
-        return;
-    if (!ok || chol_->conditionEstimate() > kWindowConditionLimit) {
-        // Downdate breakdown (non-finite) or a numerically exhausted
-        // survivor: rebuild fresh with the jitter ladder. Rare by
-        // construction - the rotation sweep is unconditionally stable
-        // for SPD factors - but the window must never limp on.
-        fitStandardized();
-    }
-}
-
-void
-GaussianProcess::enforceWindow()
-{
-    while (windowed() && inputs_.size() > max_history_)
-        evictOldest();
 }
 
 bool
@@ -273,24 +193,6 @@ GaussianProcess::samePrefix(const std::vector<RealVec>& other,
     return true;
 }
 
-bool
-GaussianProcess::sameShifted(const std::vector<RealVec>& other) const
-{
-    const std::size_t n = inputs_.size();
-    if (other.size() != n || n == 0)
-        return false;
-    for (std::size_t i = 0; i + 1 < n; ++i) {
-        if (other[i].size() != inputs_[i + 1].size())
-            return false;
-        // Bitwise on purpose, like samePrefix: a miss only costs a
-        // full refit, never correctness.
-        if (std::memcmp(other[i].data(), inputs_[i + 1].data(),
-                        inputs_[i + 1].size() * sizeof(double)) != 0)
-            return false;
-    }
-    return true;
-}
-
 void
 GaussianProcess::addObservation(const RealVec& x, double target)
 {
@@ -307,8 +209,7 @@ GaussianProcess::addObservation(const RealVec& x, double target)
         // at jitter 0): refactorize the cached matrix from scratch so
         // the jitter-escalation ladder replays exactly as a fresh
         // fit's would.
-        refreshFactorization();
-        enforceWindow();
+        refitFromCache();
         return;
     }
     SATORI_OBS_SPAN("gp.fit.incremental");
@@ -316,10 +217,9 @@ GaussianProcess::addObservation(const RealVec& x, double target)
     SATORI_AUDIT_HOOK(analysis::globalAuditor().checkCholesky(
         chol_->jitter(), chol_->conditionEstimate(), inputs_.size(),
         __FILE__, __LINE__));
-    enforceWindow();
     standardizeAndSolve();
     if (scaleDrifted())
-        refreshFactorization();
+        refitFromCache();
 }
 
 void
@@ -335,10 +235,9 @@ GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
         SATORI_OBS_SPAN("gp.fit.refresh");
         SATORI_OBS_METRIC(gp_refresh_solves.inc());
         y_raw_ = targets;
-        enforceWindow();
         standardizeAndSolve();
         if (scaleDrifted())
-            refreshFactorization();
+            refitFromCache();
         return;
     }
     if (fitted_ && inputs.size() == inputs_.size() + 1 &&
@@ -346,8 +245,7 @@ GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
         const bool extended = tryExtendFactor(inputs.back());
         y_raw_ = targets;
         if (!extended) {
-            refreshFactorization();
-            enforceWindow();
+            refitFromCache();
             return;
         }
         SATORI_OBS_SPAN("gp.fit.incremental");
@@ -355,32 +253,9 @@ GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
         SATORI_AUDIT_HOOK(analysis::globalAuditor().checkCholesky(
             chol_->jitter(), chol_->conditionEstimate(), inputs_.size(),
             __FILE__, __LINE__));
-        enforceWindow();
         standardizeAndSolve();
         if (scaleDrifted())
-            refreshFactorization();
-        return;
-    }
-    if (fitted_ && windowed() && sameShifted(inputs)) {
-        // A slid full window: old[1..n) == new[0..n-1) plus one fresh
-        // sample at the end. Evict-then-append keeps the whole
-        // reconstruction O(n^2) - this is the sliding-window steady
-        // state at 10x the historical sample count.
-        SATORI_OBS_SPAN("gp.fit.window_slide");
-        evictOldest();
-        const bool extended = tryExtendFactor(inputs.back());
-        y_raw_ = targets;
-        if (!extended) {
-            refreshFactorization();
-            return;
-        }
-        SATORI_OBS_METRIC(gp_incremental_updates.inc());
-        SATORI_AUDIT_HOOK(analysis::globalAuditor().checkCholesky(
-            chol_->jitter(), chol_->conditionEstimate(), inputs_.size(),
-            __FILE__, __LINE__));
-        standardizeAndSolve();
-        if (scaleDrifted())
-            refreshFactorization();
+            refitFromCache();
         return;
     }
     fit(inputs, targets);
@@ -407,21 +282,18 @@ GaussianProcess::predict(const RealVec& x) const
 }
 
 void
-GaussianProcess::predictRangeInto(const std::vector<RealVec>& xs,
-                                  std::size_t begin, std::size_t end,
-                                  GpPrediction* out,
-                                  BatchScratch& scratch,
-                                  bool with_variance) const
+GaussianProcess::predictBlocked(const std::vector<RealVec>& xs,
+                                GpPrediction* preds, double* means) const
 {
     SATORI_ASSERT(fitted_);
-    SATORI_ASSERT(begin <= end && end <= xs.size());
     const std::size_t n = inputs_.size();
-    for (std::size_t b0 = begin; b0 < end; b0 += kPredictBlock) {
-        const std::size_t b1 = std::min(end, b0 + kPredictBlock);
+    for (std::size_t b0 = 0; b0 < xs.size(); b0 += kPredictBlock) {
+        const std::size_t b1 = std::min(xs.size(), b0 + kPredictBlock);
         const std::size_t bsz = b1 - b0;
-        scratch.pts.assign(xs, b0, b1);
-        if (scratch.kstar_t.rows() != n || scratch.kstar_t.cols() != bsz)
-            scratch.kstar_t = linalg::Matrix(n, bsz);
+        scratch_.pts.assign(xs, b0, b1);
+        if (scratch_.kstar_t.rows() != n ||
+            scratch_.kstar_t.cols() != bsz)
+            scratch_.kstar_t = linalg::Matrix(n, bsz);
         // Cross-covariance block, training-sample-major: row i holds
         // k(inputs_[i], candidate c) for the whole block. Every
         // element is bit-identical to the candidate-major row the
@@ -429,35 +301,33 @@ GaussianProcess::predictRangeInto(const std::vector<RealVec>& xs,
         // layout just turns the downstream GEMV and multi-solve into
         // contiguous lane-parallel row sweeps.
         for (std::size_t i = 0; i < n; ++i)
-            kernel_->covarianceCross(scratch.pts, inputs_[i],
-                                     scratch.kstar_t.rowPtr(i));
+            kernel_->covarianceCross(scratch_.pts, inputs_[i],
+                                     scratch_.kstar_t.rowPtr(i));
         // mean_std[c] accumulates alpha_[i] * k* in ascending i - the
         // exact linalg::dot order predict() uses, one lane per
         // candidate.
-        scratch.means.assign(bsz, 0.0);
+        scratch_.means.assign(bsz, 0.0);
         for (std::size_t i = 0; i < n; ++i)
-            linalg::simd::fmaAccum(scratch.means.data(),
-                                   scratch.kstar_t.rowPtr(i), alpha_[i],
+            linalg::simd::fmaAccum(scratch_.means.data(),
+                                   scratch_.kstar_t.rowPtr(i), alpha_[i],
                                    bsz);
-        GpPrediction* o = out + (b0 - begin);
-        if (!with_variance) {
-            for (std::size_t c = 0; c < bsz; ++c) {
-                o[c].mean = y_mean_ + y_scale_ * scratch.means[c];
-                o[c].variance = 0.0;
-            }
+        if (preds == nullptr) {
+            for (std::size_t c = 0; c < bsz; ++c)
+                means[b0 + c] = y_mean_ + y_scale_ * scratch_.means[c];
             continue;
         }
-        chol_->solveLowerMultiTransposedInto(scratch.kstar_t,
-                                             scratch.v);
+        chol_->solveLowerMultiTransposedInto(scratch_.kstar_t,
+                                             scratch_.v);
         // ||v||^2 row by row: contiguous inner loop, each candidate
         // still sums in ascending i.
-        scratch.vv.assign(bsz, 0.0);
+        scratch_.vv.assign(bsz, 0.0);
         for (std::size_t i = 0; i < n; ++i)
-            linalg::simd::accumSquare(scratch.vv.data(),
-                                      scratch.v.rowPtr(i), bsz);
+            linalg::simd::accumSquare(scratch_.vv.data(),
+                                      scratch_.v.rowPtr(i), bsz);
+        GpPrediction* o = preds + b0;
         for (std::size_t c = 0; c < bsz; ++c) {
-            o[c].mean = y_mean_ + y_scale_ * scratch.means[c];
-            const double var_std = kernel_->variance() - scratch.vv[c];
+            o[c].mean = y_mean_ + y_scale_ * scratch_.means[c];
+            const double var_std = kernel_->variance() - scratch_.vv[c];
             SATORI_AUDIT_HOOK(
                 analysis::globalAuditor().checkPosteriorVariance(
                     var_std, kernel_->variance(), __FILE__, __LINE__));
@@ -472,47 +342,15 @@ GaussianProcess::predictBatchInto(const std::vector<RealVec>& xs,
                                   std::vector<GpPrediction>& out) const
 {
     out.resize(xs.size());
-    predictRangeInto(xs, 0, xs.size(), out.data(), scratch_, true);
+    predictBlocked(xs, out.data(), nullptr);
 }
 
 void
 GaussianProcess::predictMeansInto(const std::vector<RealVec>& xs,
                                   std::vector<double>& out) const
 {
-    SATORI_ASSERT(fitted_);
-    const std::size_t n = inputs_.size();
     out.resize(xs.size());
-    for (std::size_t b0 = 0; b0 < xs.size(); b0 += kPredictBlock) {
-        const std::size_t b1 =
-            std::min(xs.size(), b0 + kPredictBlock);
-        const std::size_t bsz = b1 - b0;
-        scratch_.pts.assign(xs, b0, b1);
-        if (scratch_.kstar_t.rows() != n ||
-            scratch_.kstar_t.cols() != bsz)
-            scratch_.kstar_t = linalg::Matrix(n, bsz);
-        for (std::size_t i = 0; i < n; ++i)
-            kernel_->covarianceCross(scratch_.pts, inputs_[i],
-                                     scratch_.kstar_t.rowPtr(i));
-        scratch_.means.assign(bsz, 0.0);
-        for (std::size_t i = 0; i < n; ++i)
-            linalg::simd::fmaAccum(scratch_.means.data(),
-                                   scratch_.kstar_t.rowPtr(i),
-                                   alpha_[i], bsz);
-        for (std::size_t c = 0; c < bsz; ++c)
-            out[b0 + c] = y_mean_ + y_scale_ * scratch_.means[c];
-    }
-}
-
-double
-GaussianProcess::maxStddev() const
-{
-    SATORI_ASSERT(fitted_);
-    // var_std <= kernel variance holds in floating point (it is the
-    // prior minus a nonnegative, and fl(a - b) <= a for b >= 0 with a
-    // representable), and every downstream step of stddev() is
-    // monotone, so evaluating the prior through the same expression
-    // shape bounds every candidate's stddev including rounding.
-    return std::sqrt(kernel_->variance() * y_scale_ * y_scale_);
+    predictBlocked(xs, nullptr, out.data());
 }
 
 std::vector<GpPrediction>

@@ -4,8 +4,8 @@
 #include <cstdio>
 
 #include "satori/common/logging.hpp"
+#include "satori/common/parallel.hpp"
 #include "satori/common/stats.hpp"
-#include "satori/harness/parallel.hpp"
 #include "satori/harness/scenarios.hpp"
 
 namespace satori {
@@ -68,7 +68,7 @@ repeatPolicy(const PlatformSpec& platform, const workloads::JobMix& mix,
         double objective = 0.0;
     };
     std::vector<RunOutcome> outcomes(runs);
-    parallelFor(runs, threads, [&](std::size_t r) {
+    common::parallelFor(runs, threads, [&](std::size_t r) {
         sim::SimulatedServer server =
             makeServer(platform, mix, seed0 + r);
         auto policy = makePolicy(policy_name, server, satori_options);

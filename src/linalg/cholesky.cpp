@@ -19,15 +19,6 @@ triSize(std::size_t n)
     return n * (n + 1) / 2;
 }
 
-/** A freshly produced factor diagonal must be a positive finite
- * number; anything else (0, negative, inf, nan) means the rotation
- * sweep broke down and the whole operation must be rejected. */
-bool
-diagOk(double d)
-{
-    return std::isfinite(d) && d > 0.0;
-}
-
 } // namespace
 
 Cholesky::Cholesky(Matrix a, double initial_jitter)
@@ -120,243 +111,6 @@ Cholesky::update(const std::vector<double>& cross, double diag)
     double* appended = row(n);
     std::copy(new_row.begin(), new_row.end(), appended);
     appended[n] = std::sqrt(pivot);
-    return true;
-}
-
-bool
-Cholesky::downdate()
-{
-    const std::size_t n = n_;
-    SATORI_ASSERT(n >= 1);
-    if (n == 1) {
-        tri_.clear();
-        n_ = 0;
-        return true;
-    }
-
-    // Fast path: the evicted sample is uncorrelated with every other
-    // (its factor column is exactly zero), so the trailing factor IS
-    // the downdated factor and the sweep degenerates to a compaction.
-    // Taking it explicitly (rather than rotating with s = 0) is what
-    // makes this case bit-identical to a fresh factorization of the
-    // trailing block: sqrt(d * d) need not return d bitwise.
-    bool zero_column = true;
-    for (std::size_t i = 1; i < n; ++i) {
-        // satori-analyzer: allow(num-float-eq) -- exact-zero structure test
-        if (row(i)[0] != 0.0) {
-            zero_column = false;
-            break;
-        }
-    }
-    if (zero_column) {
-        for (std::size_t i = 1; i < n; ++i) {
-            const double* src = row(i);
-            // The destination row ends where the source row starts, so
-            // the ascending copy never reads clobbered data.
-            std::copy(src + 1, src + i + 1, row(i - 1));
-        }
-        n_ = n - 1;
-        tri_.resize(triSize(n_));
-        return true;
-    }
-
-    // General case: the trailing factor L22 absorbs the evicted
-    // column x as a rank-1 update (A22 = L22 L22^T + x x^T) via a
-    // sweep of Givens rotations, one per new row. Row i of the old
-    // factor becomes row i-1 of the new one: the carried x_i passes
-    // through rotations 0..i-2 (parameters produced by earlier rows),
-    // then the new diagonal r = sqrt(d^2 + x^2) yields rotation i-1.
-    // The sweep writes into scratch and swaps only after every new
-    // diagonal validated, so failure leaves the factor untouched.
-    const std::size_t m = n - 1;
-    sweep_scratch_.resize(triSize(m));
-    rot_s_.resize(m);
-    rot_ic_.resize(m);
-    std::vector<double>& out = sweep_scratch_;
-    double* const sb = rot_s_.data();
-    double* const ib = rot_ic_.data();
-    const auto dstRow = [&out](std::size_t r) {
-        return out.data() + r * (r + 1) / 2;
-    };
-
-    // Rows run in interleaved blocks of 8: the rotations 0..i-2 shared
-    // by the whole block stream in one loop with eight independent
-    // carry chains (each rotation is a ~12-cycle serial dependency;
-    // interleaving buys ~4x at n = 1000), then each row finishes
-    // sequentially, publishing the block's rotation parameters in
-    // order.
-    std::size_t i = 1;
-    for (; i + 8 <= n; i += 8) {
-        const double* s0 = row(i);
-        const double* s1 = row(i + 1);
-        const double* s2 = row(i + 2);
-        const double* s3 = row(i + 3);
-        const double* s4 = row(i + 4);
-        const double* s5 = row(i + 5);
-        const double* s6 = row(i + 6);
-        const double* s7 = row(i + 7);
-        double* d0 = dstRow(i - 1);
-        double* d1 = dstRow(i);
-        double* d2 = dstRow(i + 1);
-        double* d3 = dstRow(i + 2);
-        double* d4 = dstRow(i + 3);
-        double* d5 = dstRow(i + 4);
-        double* d6 = dstRow(i + 5);
-        double* d7 = dstRow(i + 6);
-        double x0 = s0[0];
-        double x1 = s1[0];
-        double x2 = s2[0];
-        double x3 = s3[0];
-        double x4 = s4[0];
-        double x5 = s5[0];
-        double x6 = s6[0];
-        double x7 = s7[0];
-        const std::size_t m0 = i - 1;
-        for (std::size_t k = 0; k < m0; ++k) {
-            const double sk = sb[k];
-            const double ik = ib[k];
-            const double a0 = s0[k + 1];
-            const double a1 = s1[k + 1];
-            const double a2 = s2[k + 1];
-            const double a3 = s3[k + 1];
-            const double a4 = s4[k + 1];
-            const double a5 = s5[k + 1];
-            const double a6 = s6[k + 1];
-            const double a7 = s7[k + 1];
-            d0[k] = (a0 + sk * x0) * ik;
-            x0 = (x0 - sk * a0) * ik;
-            d1[k] = (a1 + sk * x1) * ik;
-            x1 = (x1 - sk * a1) * ik;
-            d2[k] = (a2 + sk * x2) * ik;
-            x2 = (x2 - sk * a2) * ik;
-            d3[k] = (a3 + sk * x3) * ik;
-            x3 = (x3 - sk * a3) * ik;
-            d4[k] = (a4 + sk * x4) * ik;
-            x4 = (x4 - sk * a4) * ik;
-            d5[k] = (a5 + sk * x5) * ik;
-            x5 = (x5 - sk * a5) * ik;
-            d6[k] = (a6 + sk * x6) * ik;
-            x6 = (x6 - sk * a6) * ik;
-            d7[k] = (a7 + sk * x7) * ik;
-            x7 = (x7 - sk * a7) * ik;
-        }
-        const double* srcs[8] = { s0, s1, s2, s3, s4, s5, s6, s7 };
-        double* dsts[8] = { d0, d1, d2, d3, d4, d5, d6, d7 };
-        const double xs[8] = { x0, x1, x2, x3, x4, x5, x6, x7 };
-        for (std::size_t r = 0; r < 8; ++r) {
-            const double* src = srcs[r];
-            double* dst = dsts[r];
-            double xi = xs[r];
-            for (std::size_t k = m0; k < m0 + r; ++k) {
-                const double a = src[k + 1];
-                dst[k] = (a + sb[k] * xi) * ib[k];
-                xi = (xi - sb[k] * a) * ib[k];
-            }
-            const double diag = src[m0 + r + 1];
-            const double rr = std::sqrt(diag * diag + xi * xi);
-            if (!diagOk(rr))
-                return false;
-            dst[m0 + r] = rr;
-            sb[m0 + r] = xi / diag;
-            ib[m0 + r] = diag / rr;
-        }
-    }
-    for (; i < n; ++i) {
-        const double* src = row(i);
-        double* dst = dstRow(i - 1);
-        double xi = src[0];
-        const std::size_t mi = i - 1;
-        for (std::size_t k = 0; k < mi; ++k) {
-            const double a = src[k + 1];
-            dst[k] = (a + sb[k] * xi) * ib[k];
-            xi = (xi - sb[k] * a) * ib[k];
-        }
-        const double diag = src[mi + 1];
-        const double rr = std::sqrt(diag * diag + xi * xi);
-        if (!diagOk(rr))
-            return false;
-        dst[mi] = rr;
-        sb[mi] = xi / diag;
-        ib[mi] = diag / rr;
-    }
-
-    tri_.swap(sweep_scratch_);
-    n_ = m;
-    return true;
-}
-
-bool
-Cholesky::rankOneUpdate(const std::vector<double>& v)
-{
-    const std::size_t n = n_;
-    SATORI_ASSERT(v.size() == n);
-    sweep_scratch_.resize(triSize(n));
-    rot_s_.resize(n);
-    rot_ic_.resize(n);
-    std::vector<double>& out = sweep_scratch_;
-    double* const sb = rot_s_.data();
-    double* const ib = rot_ic_.data();
-    // Same rotation sweep as downdate() with x = v and no compaction:
-    // r = sqrt(d^2 + x^2) is SPD-unconditional, so this fails only on
-    // non-finite intermediates. Scratch + swap keeps failure clean.
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* src = row(i);
-        double* dst = out.data() + i * (i + 1) / 2;
-        double xi = v[i];
-        for (std::size_t k = 0; k < i; ++k) {
-            const double a = src[k];
-            dst[k] = (a + sb[k] * xi) * ib[k];
-            xi = (xi - sb[k] * a) * ib[k];
-        }
-        const double diag = src[i];
-        const double rr = std::sqrt(diag * diag + xi * xi);
-        if (!diagOk(rr))
-            return false;
-        dst[i] = rr;
-        sb[i] = xi / diag;
-        ib[i] = diag / rr;
-    }
-    tri_.swap(sweep_scratch_);
-    return true;
-}
-
-bool
-Cholesky::rankOneDowndate(const std::vector<double>& v)
-{
-    const std::size_t n = n_;
-    SATORI_ASSERT(v.size() == n);
-    sweep_scratch_.resize(triSize(n));
-    rot_s_.resize(n);
-    rot_ic_.resize(n);
-    std::vector<double>& out = sweep_scratch_;
-    double* const sb = rot_s_.data();
-    double* const ib = rot_ic_.data();
-    // Hyperbolic sweep: rotation i zeroes the carried x_i against the
-    // diagonal with s = x/d, c = sqrt(1 - s^2). A - v v^T losing
-    // positive definiteness shows up as |s| >= 1, which is refused
-    // here before it can turn into a nan diagonal.
-    for (std::size_t i = 0; i < n; ++i) {
-        const double* src = row(i);
-        double* dst = out.data() + i * (i + 1) / 2;
-        double xi = v[i];
-        for (std::size_t k = 0; k < i; ++k) {
-            const double a = src[k];
-            dst[k] = (a - sb[k] * xi) * ib[k];
-            xi = (xi - sb[k] * a) * ib[k];
-        }
-        const double diag = src[i];
-        const double s = xi / diag;
-        if (!std::isfinite(s) || std::fabs(s) >= 1.0)
-            return false;
-        const double c = std::sqrt((1.0 - s) * (1.0 + s));
-        const double nd = diag * c;
-        if (!diagOk(nd))
-            return false;
-        dst[i] = nd;
-        sb[i] = s;
-        ib[i] = 1.0 / c;
-    }
-    tri_.swap(sweep_scratch_);
     return true;
 }
 
@@ -508,68 +262,9 @@ Cholesky::solveUpper(const std::vector<double>& b) const
 }
 
 std::vector<double>
-Cholesky::solveUpperBlocked(const std::vector<double>& b) const
-{
-    const std::size_t n = n_;
-    SATORI_ASSERT(b.size() == n);
-    std::vector<double> x(n);
-    // Deterministic reassociated order (NOT solveUpper's): columns in
-    // blocks of 4, descending. Each column's accumulator is seeded
-    // with b, the block's shared tail (k past the block) streams once
-    // in ascending k into all four accumulators - four adjacent
-    // column entries per factor row, so the packed triangle is read
-    // once per block instead of once per column - and the in-block
-    // triangle finishes descending. ~3x faster than solveUpper at
-    // n = 1000; bit-stable across runs, not bit-equal to solveUpper.
-    std::size_t ii = n;
-    while (ii >= 4) {
-        const std::size_t j = ii - 4;
-        double s0 = b[j];
-        double s1 = b[j + 1];
-        double s2 = b[j + 2];
-        double s3 = b[j + 3];
-        for (std::size_t k = ii; k < n; ++k) {
-            const double* rk = row(k) + j;
-            const double xk = x[k];
-            s0 -= rk[0] * xk;
-            s1 -= rk[1] * xk;
-            s2 -= rk[2] * xk;
-            s3 -= rk[3] * xk;
-        }
-        const double* r3 = row(j + 3);
-        x[j + 3] = s3 / r3[j + 3];
-        s2 -= r3[j + 2] * x[j + 3];
-        s1 -= r3[j + 1] * x[j + 3];
-        s0 -= r3[j] * x[j + 3];
-        const double* r2 = row(j + 2);
-        x[j + 2] = s2 / r2[j + 2];
-        s1 -= r2[j + 1] * x[j + 2];
-        s0 -= r2[j] * x[j + 2];
-        const double* r1 = row(j + 1);
-        x[j + 1] = s1 / r1[j + 1];
-        s0 -= r1[j] * x[j + 1];
-        x[j] = s0 / row(j)[j];
-        ii = j;
-    }
-    while (ii-- > 0) {
-        double sum = b[ii];
-        for (std::size_t k = ii + 1; k < n; ++k)
-            sum -= row(k)[ii] * x[k];
-        x[ii] = sum / row(ii)[ii];
-    }
-    return x;
-}
-
-std::vector<double>
 Cholesky::solve(const std::vector<double>& b) const
 {
     return solveUpper(solveLower(b));
-}
-
-std::vector<double>
-Cholesky::solveBlocked(const std::vector<double>& b) const
-{
-    return solveUpperBlocked(solveLower(b));
 }
 
 double

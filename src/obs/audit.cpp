@@ -66,11 +66,6 @@ recordJson(const DecisionRecord& r)
     out += ",\"proxy_change_pct\":" + formatNumber(r.proxy_change_pct);
     out += ",\"chosen_config\":\"" + escapeText(r.chosen_config) + "\"";
     out += ",\"outcome\":\"" + escapeText(r.outcome) + "\"";
-    out += ",\"screen_kept\":" + std::to_string(r.screen_kept);
-    out += ",\"screen_pruned\":" + std::to_string(r.screen_pruned);
-    out += ",\"window_evictions\":" + std::to_string(r.window_evictions);
-    out += ",\"approx_active\":" +
-           std::string(r.approx_active ? "true" : "false");
     out += "}";
     return out;
 }

@@ -5,9 +5,9 @@
 #include <filesystem>
 #include <system_error>
 
+#include "satori/common/io.hpp"
 #include "satori/common/logging.hpp"
 #include "satori/obs/obs.hpp"
-#include "satori/persist/io.hpp"
 
 namespace satori {
 namespace persist {

@@ -5,8 +5,8 @@
 #include <filesystem>
 #include <system_error>
 
+#include "satori/common/io.hpp"
 #include "satori/common/logging.hpp"
-#include "satori/persist/io.hpp"
 #include "satori/persist/state.hpp"
 
 namespace satori {

@@ -11,8 +11,8 @@
 #include <gtest/gtest.h>
 
 #include "satori/common/logging.hpp"
+#include "satori/common/parallel.hpp"
 #include "satori/harness/experiment.hpp"
-#include "satori/harness/parallel.hpp"
 #include "satori/harness/repeat.hpp"
 #include "satori/harness/report.hpp"
 #include "satori/harness/scenarios.hpp"
@@ -216,7 +216,7 @@ TEST(RepeatPolicyTest, SingleRunHasNoInterval)
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce)
 {
     for (const std::size_t workers : {1u, 2u, 4u}) {
-        ThreadPool pool(workers);
+        common::ThreadPool pool(workers);
         EXPECT_EQ(pool.workerCount(), workers);
         const std::size_t count = 100;
         std::vector<int> hits(count, 0);
@@ -235,7 +235,7 @@ TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce)
 
 TEST(ThreadPoolTest, FirstExceptionPropagatesToCaller)
 {
-    ThreadPool pool(3);
+    common::ThreadPool pool(3);
     EXPECT_THROW(
         pool.forEachIndex(50,
                           [](std::size_t i) {
@@ -252,9 +252,9 @@ TEST(ThreadPoolTest, FirstExceptionPropagatesToCaller)
 TEST(ParallelForTest, SerialAndPooledAgree)
 {
     std::vector<std::size_t> serial(64, 0);
-    parallelFor(64, 1, [&](std::size_t i) { serial[i] = i * i; });
+    common::parallelFor(64, 1, [&](std::size_t i) { serial[i] = i * i; });
     std::vector<std::size_t> pooled(64, 0);
-    parallelFor(64, 4, [&](std::size_t i) { pooled[i] = i * i; });
+    common::parallelFor(64, 4, [&](std::size_t i) { pooled[i] = i * i; });
     EXPECT_EQ(serial, pooled);
 }
 

@@ -5,7 +5,6 @@
  */
 
 #include <cmath>
-#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -350,220 +349,6 @@ TEST(CholeskyMultiSolveTest, MatchesLoopedSolveLowerBitwise)
             EXPECT_EQ(out(c, r), multi(r, c));
 }
 
-/** Trailing (n-1) x (n-1) block of a square matrix. */
-Matrix
-trailingBlock(const Matrix& a)
-{
-    const std::size_t m = a.rows() - 1;
-    Matrix t(m, m);
-    for (std::size_t r = 0; r < m; ++r)
-        for (std::size_t c = 0; c < m; ++c)
-            t(r, c) = a(r + 1, c + 1);
-    return t;
-}
-
-TEST(CholeskyDowndateTest, MatchesFreshFactorizationOfTrailingBlock)
-{
-    for (const std::size_t n : {2u, 5u, 12u, 40u, 70u}) {
-        Rng rng(4200 + n);
-        const Matrix a = randomSpd(n, rng, double(n));
-        Cholesky chol(a);
-        ASSERT_TRUE(chol.downdate());
-        ASSERT_EQ(chol.size(), n - 1);
-
-        const Cholesky fresh(trailingBlock(a));
-        // The rotation sweep is mathematically (not bitwise) equal to
-        // a fresh factorization; verify to tight tolerance.
-        for (std::size_t r = 0; r + 1 < n; ++r)
-            for (std::size_t c = 0; c <= r; ++c)
-                EXPECT_NEAR(chol.factor()(r, c), fresh.factor()(r, c),
-                            1e-9 * (1.0 + std::fabs(fresh.factor()(r, c))))
-                    << "n=" << n << " (" << r << "," << c << ")";
-        EXPECT_NEAR(chol.logDet(), fresh.logDet(),
-                    1e-9 * (1.0 + std::fabs(fresh.logDet())));
-    }
-}
-
-TEST(CholeskyDowndateTest, UncorrelatedEvictionIsBitwiseFresh)
-{
-    // Block-diagonal case: the evicted sample is uncorrelated with the
-    // rest (zero cross column), the sweep degenerates to a compaction,
-    // and the result must be BIT-identical to a fresh factorization of
-    // the trailing block - the anchor of the evict-then-append
-    // round-trip contract.
-    Rng rng(515);
-    const std::size_t n = 9;
-    const Matrix tail = randomSpd(n - 1, rng, double(n));
-    Matrix a(n, n, 0.0);
-    a(0, 0) = 3.5;
-    for (std::size_t r = 0; r + 1 < n; ++r)
-        for (std::size_t c = 0; c + 1 < n; ++c)
-            a(r + 1, c + 1) = tail(r, c);
-
-    Cholesky chol(a);
-    ASSERT_TRUE(chol.downdate());
-    const Cholesky fresh(tail);
-    EXPECT_EQ(chol.jitter(), fresh.jitter());
-    EXPECT_EQ(chol.logDet(), fresh.logDet());
-    for (std::size_t r = 0; r + 1 < n; ++r)
-        for (std::size_t c = 0; c <= r; ++c)
-            EXPECT_EQ(chol.factor()(r, c), fresh.factor()(r, c));
-}
-
-TEST(CholeskyDowndateTest, EvictThenAppendRoundTripIsByteStable)
-{
-    // Windowed steady state: evict oldest, append newest. The sequence
-    // must be deterministic byte for byte - two replays of the same
-    // operation sequence produce identical factors.
-    Rng rng(616);
-    const std::size_t n = 24;
-    const Matrix a = randomSpd(n + 1, rng, double(n));
-    Matrix lead(n, n);
-    std::vector<double> cross(n);
-    for (std::size_t r = 0; r < n; ++r) {
-        for (std::size_t c = 0; c < n; ++c)
-            lead(r, c) = a(r, c);
-        cross[r] = a(r, n);
-    }
-
-    const auto replay = [&]() {
-        Cholesky chol(lead);
-        EXPECT_TRUE(chol.downdate());
-        // cross covers the surviving rows 1..n-1 of `a`.
-        std::vector<double> cr(cross.begin() + 1, cross.end());
-        EXPECT_TRUE(chol.update(cr, a(n, n)));
-        return chol.factor();
-    };
-    const Matrix one = replay();
-    const Matrix two = replay();
-    ASSERT_EQ(one.rows(), n);
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-            EXPECT_EQ(one(r, c), two(r, c));
-
-    // And the result tracks the fresh factorization of the shifted
-    // window to tight tolerance.
-    Matrix shifted(n, n);
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-            shifted(r, c) = a(r + 1, c + 1);
-    const Cholesky fresh(shifted);
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c <= r; ++c)
-            EXPECT_NEAR(one(r, c), fresh.factor()(r, c),
-                        1e-9 * (1.0 + std::fabs(fresh.factor()(r, c))));
-}
-
-TEST(CholeskyDowndateTest, NearSingularAfterEvictionIsDetectable)
-{
-    // Evicting the sample that kept the set well-conditioned leaves a
-    // nearly singular trailing block (two near-duplicate rows). The
-    // downdate itself is unconditionally stable - it must succeed -
-    // and the damage shows up in conditionEstimate(), which is the
-    // signal the GP's windowed mode uses to fall back to a fresh
-    // jittered refit.
-    const std::size_t n = 6;
-    Rng rng(717);
-    Matrix a = randomSpd(n, rng, 0.5);
-    // Make trailing rows 1 and 2 of the matrix nearly identical.
-    for (std::size_t c = 0; c < n; ++c) {
-        a(2, c) = a(1, c) + 1e-9;
-        a(c, 2) = a(2, c);
-    }
-    a(2, 2) = a(1, 1) + 2e-9;
-    a(2, 1) = a(1, 2);
-    Cholesky chol(a);
-    ASSERT_TRUE(chol.downdate());
-    EXPECT_GT(chol.conditionEstimate(), 1e6);
-    // The factor is still usable: finite solves.
-    std::vector<double> rhs(n - 1, 1.0);
-    for (const double v : chol.solve(rhs))
-        EXPECT_TRUE(std::isfinite(v));
-}
-
-TEST(CholeskyDowndateTest, DowndateToSingleAndEmpty)
-{
-    Matrix a = Matrix::identity(2);
-    a(1, 0) = a(0, 1) = 0.25;
-    Cholesky chol(a);
-    ASSERT_TRUE(chol.downdate());
-    EXPECT_EQ(chol.size(), 1u);
-    EXPECT_NEAR(chol.factor()(0, 0), 1.0, 1e-12);
-    ASSERT_TRUE(chol.downdate());
-    EXPECT_EQ(chol.size(), 0u);
-    EXPECT_EQ(chol.conditionEstimate(), 1.0);
-}
-
-TEST(CholeskyRankOneTest, UpdateMatchesFreshFactorization)
-{
-    for (const std::size_t n : {1u, 4u, 11u, 30u}) {
-        Rng rng(8800 + n);
-        Matrix a = randomSpd(n, rng, double(n));
-        std::vector<double> v(n);
-        for (auto& x : v)
-            x = rng.uniform(-2.0, 2.0);
-
-        Cholesky chol(a);
-        ASSERT_TRUE(chol.rankOneUpdate(v));
-
-        Matrix plus = a;
-        for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c < n; ++c)
-                plus(r, c) += v[r] * v[c];
-        const Cholesky fresh(plus);
-        for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c <= r; ++c)
-                EXPECT_NEAR(chol.factor()(r, c), fresh.factor()(r, c),
-                            1e-9 * (1.0 + std::fabs(fresh.factor()(r, c))));
-    }
-}
-
-TEST(CholeskyRankOneTest, UpdateThenDowndateRoundTrips)
-{
-    Rng rng(8899);
-    const std::size_t n = 16;
-    const Matrix a = randomSpd(n, rng, double(n));
-    std::vector<double> v(n);
-    for (auto& x : v)
-        x = rng.uniform(-1.5, 1.5);
-
-    Cholesky chol(a);
-    const Matrix before = chol.factor();
-    ASSERT_TRUE(chol.rankOneUpdate(v));
-    ASSERT_TRUE(chol.rankOneDowndate(v));
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t c = 0; c <= r; ++c)
-            EXPECT_NEAR(chol.factor()(r, c), before(r, c),
-                        1e-8 * (1.0 + std::fabs(before(r, c))));
-}
-
-TEST(CholeskyRankOneTest, DowndateFailureLeavesFactorUntouched)
-{
-    // A - v v^T is indefinite for ||v|| large: the hyperbolic sweep
-    // must refuse, and - mirroring update()'s SPD-failure contract -
-    // the factor must be bit-untouched so the caller can fall back to
-    // a fresh factorization.
-    Matrix a = Matrix::identity(4);
-    a(1, 0) = a(0, 1) = 0.3;
-    Cholesky chol(a);
-    const Matrix before = chol.factor();
-    const std::vector<double> huge(4, 10.0);
-    EXPECT_FALSE(chol.rankOneDowndate(huge));
-    EXPECT_EQ(chol.size(), 4u);
-    for (std::size_t r = 0; r < 4; ++r)
-        for (std::size_t c = 0; c < 4; ++c)
-            EXPECT_EQ(chol.factor()(r, c), before(r, c));
-
-    // Non-finite input makes the stable (update-form) sweep refuse
-    // too, with the same untouched guarantee.
-    std::vector<double> poisoned(4, 0.5);
-    poisoned[2] = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_FALSE(chol.rankOneUpdate(poisoned));
-    for (std::size_t r = 0; r < 4; ++r)
-        for (std::size_t c = 0; c < 4; ++c)
-            EXPECT_EQ(chol.factor()(r, c), before(r, c));
-}
-
 TEST(CholeskySolveVariantsTest, InterleavedSolveLowerMatchesNaiveBitwise)
 {
     // solveLower runs 8-row interleaved blocks; its contract is
@@ -589,35 +374,6 @@ TEST(CholeskySolveVariantsTest, InterleavedSolveLowerMatchesNaiveBitwise)
         const auto fast = chol.solveLower(b);
         for (std::size_t i = 0; i < n; ++i)
             EXPECT_EQ(fast[i], naive[i]) << "n=" << n << " i=" << i;
-    }
-}
-
-TEST(CholeskySolveVariantsTest, SolveUpperBlockedMatchesSolveUpper)
-{
-    for (const std::size_t n : {1u, 3u, 4u, 7u, 17u, 40u, 101u}) {
-        Rng rng(5500 + n);
-        const Matrix a = randomSpd(n, rng, double(n));
-        const Cholesky chol(a);
-        std::vector<double> b(n);
-        for (auto& x : b)
-            x = rng.uniform(-2.0, 2.0);
-
-        const auto exact = chol.solveUpper(b);
-        const auto blocked = chol.solveUpperBlocked(b);
-        // Reassociated accumulation: equal to tolerance, and
-        // deterministic (two calls bit-identical).
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_NEAR(blocked[i], exact[i],
-                        1e-9 * (1.0 + std::fabs(exact[i])))
-                << "n=" << n << " i=" << i;
-        const auto again = chol.solveUpperBlocked(b);
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(blocked[i], again[i]);
-
-        const auto full = chol.solveBlocked(b);
-        const auto ref = chol.solve(b);
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_NEAR(full[i], ref[i], 1e-9 * (1.0 + std::fabs(ref[i])));
     }
 }
 

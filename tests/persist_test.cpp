@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "satori/common/io.hpp"
 #include "satori/common/logging.hpp"
 #include "satori/common/rng.hpp"
 #include "satori/harness/experiment.hpp"
@@ -23,7 +24,6 @@
 #include "satori/harness/trace.hpp"
 #include "satori/persist/checkpoint.hpp"
 #include "satori/persist/codec.hpp"
-#include "satori/persist/io.hpp"
 #include "satori/persist/snapshot.hpp"
 #include "satori/persist/wal.hpp"
 #include "satori/workloads/mixes.hpp"

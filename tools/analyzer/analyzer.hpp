@@ -150,7 +150,7 @@ struct Options
     /**
      * Path substrings where raw std::thread construction or detach is
      * legitimate: the pool implementation itself. Everything else —
-     * tests included — goes through harness::ThreadPool/parallelFor.
+     * tests included — goes through common::ThreadPool/parallelFor.
      */
     std::vector<std::string> raw_thread_allow = {
         // The pool implementation lives in common/ (shared by the bo

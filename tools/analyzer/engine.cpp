@@ -611,7 +611,7 @@ ruleCatalog()
          "gone — a use-after-scope that sanitizers only catch when "
          "the schedule cooperates.",
          "Capture by value, or keep the work on "
-         "harness::parallelFor, which joins before returning so "
+         "common::parallelFor, which joins before returning so "
          "reference captures cannot dangle."},
         {"conc-parallel-accumulate", "conc",
          "Work items in a parallelFor body run concurrently: `sum += "
@@ -625,7 +625,7 @@ ruleCatalog()
          "Raw std::thread scatters join/error/determinism handling "
          "across the tree; a detached thread outliving main is "
          "undefined behavior at shutdown.",
-         "Route parallel work through harness::ThreadPool / "
+         "Route parallel work through common::ThreadPool / "
          "parallelFor, which centralizes joins, first-error capture, "
          "and the slot-write idiom."},
         {"conc-unannotated-mutex", "conc",

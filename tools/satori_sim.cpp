@@ -25,9 +25,9 @@
 #include <vector>
 
 #include "satori/satori.hpp"
+#include "satori/common/io.hpp"
 #include "satori/obs/http_exporter.hpp"
 #include "satori/persist/checkpoint.hpp"
-#include "satori/persist/io.hpp"
 
 using namespace satori;
 
@@ -384,19 +384,19 @@ main(int argc, char** argv)
         // Fail on unusable output paths before the experiment runs,
         // not 30 simulated seconds into it.
         if (!args.trace_path.empty())
-            persist::validateOutputFile("--trace", args.trace_path);
+            satori::validateOutputFile("--trace", args.trace_path);
         if (!args.metrics_out.empty())
-            persist::validateOutputFile("--metrics-out",
+            satori::validateOutputFile("--metrics-out",
                                         args.metrics_out);
         if (!args.trace_out.empty())
-            persist::validateOutputFile("--trace-out", args.trace_out);
+            satori::validateOutputFile("--trace-out", args.trace_out);
         if (!args.audit_out.empty())
-            persist::validateOutputFile("--audit-out", args.audit_out);
+            satori::validateOutputFile("--audit-out", args.audit_out);
         if (!args.history_out.empty())
-            persist::validateOutputFile("--history-out",
+            satori::validateOutputFile("--history-out",
                                         args.history_out);
         if (!args.checkpoint_dir.empty())
-            persist::validateOutputDir("--checkpoint-dir",
+            satori::validateOutputDir("--checkpoint-dir",
                                        args.checkpoint_dir);
 
         // --- Resolve the mix ---------------------------------------
@@ -674,7 +674,7 @@ main(int argc, char** argv)
         if (!args.metrics_out.empty()) {
             const obs::MetricsSnapshot snap =
                 obs::observability().metrics().snapshot();
-            persist::atomicWriteFile(args.metrics_out,
+            satori::atomicWriteFile(args.metrics_out,
                                      args.metrics_format == "jsonl"
                                          ? snap.jsonLines()
                                          : snap.prometheusText());
@@ -703,7 +703,7 @@ main(int argc, char** argv)
         }
         if (!args.history_out.empty()) {
             obs::StatsHistory& history = obs::observability().history();
-            persist::atomicWriteFile(args.history_out, history.toJson());
+            satori::atomicWriteFile(args.history_out, history.toJson());
             std::printf(
                 "\nhistory: %zu snapshots (%llu evicted) -> %s\n",
                 history.snapshots(),
@@ -740,7 +740,7 @@ main(int argc, char** argv)
                 obs::observability().audit().writeJsonl(args.audit_out);
             if (!args.history_out.empty() &&
                 obs::observability().history().snapshots() > 0)
-                persist::atomicWriteFile(
+                satori::atomicWriteFile(
                     args.history_out,
                     obs::observability().history().toJson());
         } catch (...) {
