@@ -12,10 +12,12 @@
  *   fast - the incremental default (rank-1 Cholesky appends, O(n^2))
  *          with one batched suggestIndex() pass.
  *
- * Every cell builds a fresh engine per trial and times one decision
- * interval at exactly n samples. The controller's own interval, with
- * its real shapes, is measured by bench/interval; this bench explains
- * the GP layer's share of it.
+ * Every cell builds a fresh engine per trial, fits the first n-1
+ * samples, and times one decision interval at exactly n samples:
+ * setSamples() with all n samples (the controller's append shape),
+ * then acquisition. The controller's own interval, with its real
+ * shapes, is measured by bench/interval; this bench explains the GP
+ * layer's share of it.
  *
  * Emits BENCH_decision_latency.json; --check enforces, against the
  * checked-in baseline:
@@ -120,8 +122,9 @@ engineOptions(const std::string& path)
 }
 
 /**
- * One timed decision interval at sample count @p n: append the n-th
- * sample (fit) and maximize acquisition over the candidate set. The
+ * One timed decision interval at sample count @p n: setSamples() with
+ * the n-th sample appended (fit) and maximize acquisition over the
+ * candidate set. The
  * full path emulates the pre-optimization engine exactly: full refit
  * plus one predict() per candidate.
  */
@@ -149,7 +152,7 @@ runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats)
 
     const bool full = std::strcmp(cell.path, "full") == 0;
     const std::uint64_t t0 = obs::steadyNowNs();
-    engine.addSample(inputs.back(), targets.back());
+    engine.setSamples(inputs, targets);
     const std::uint64_t t1 = obs::steadyNowNs();
     std::size_t pick = 0;
     if (!full) {

@@ -1,17 +1,14 @@
 /**
  * @file
  * The BO engine: proxy model + acquisition maximization over a
- * candidate set. Supports both the traditional incremental workflow
- * (addSample) and SATORI's per-iteration software reconstruction of
- * the proxy model from goal-specific records (setSamples), which is
- * what makes dynamically re-weighted objectives tractable
- * (Sec. III-B).
+ * candidate set. SATORI reconstructs the proxy model from its
+ * goal-specific records every iteration (setSamples), which is what
+ * makes dynamically re-weighted objectives tractable (Sec. III-B).
  */
 
 #ifndef SATORI_BO_ENGINE_HPP
 #define SATORI_BO_ENGINE_HPP
 
-#include <memory>
 #include <vector>
 
 #include "satori/bo/acquisition.hpp"
@@ -55,11 +52,11 @@ struct EngineOptions
     std::size_t grid_refit_period = 20;
 
     /**
-     * Use the O(n^2) incremental GP paths (rank-1 factor appends on
-     * addSample, factor-reusing target refreshes on setSamples with
-     * unchanged inputs). Results are bit-identical to the full-refit
-     * path; false restores the pre-optimization O(n^3)-per-update
-     * behavior and exists so tests can pin that equivalence.
+     * Use the O(n^2) incremental GP path (a rank-1 factor append when
+     * setSamples extends the fitted set by one sample). Results are
+     * bit-identical to the full-refit path; false restores the
+     * O(n^3)-per-update behavior and exists so tests can pin that
+     * equivalence.
      */
     bool incremental = true;
 };
@@ -79,22 +76,19 @@ class BoEngine
 
     /**
      * Replace the full training set and refit the proxy model
-     * (SATORI's reconstruction path). @pre equal non-zero sizes.
+     * (SATORI's reconstruction path). Every grid_refit_period-th call
+     * refits over the length-scale grid; otherwise the GP's
+     * incremental fit takes the rank-1 append when the set grew by
+     * one sample. @pre equal non-zero sizes.
      */
     void setSamples(const std::vector<RealVec>& inputs,
                     const std::vector<double>& targets);
 
-    /** Append one sample and refit (traditional BO path). */
-    void addSample(const RealVec& input, double target);
-
     /** True once at least one sample is fitted. */
-    [[nodiscard]] bool ready() const { return gp_->isFitted(); }
+    [[nodiscard]] bool ready() const { return gp_.isFitted(); }
 
-    /** Best (largest) target value observed so far. */
+    /** Best (largest) target value in the fitted training set. */
     [[nodiscard]] double bestObserved() const;
-
-    /** Index (into the current training set) of the best sample. */
-    [[nodiscard]] std::size_t bestIndex() const;
 
     /**
      * Score all candidates with the acquisition function and return
@@ -121,7 +115,7 @@ class BoEngine
         const std::vector<RealVec>& probes) const;
 
     /** Number of training samples currently fitted. */
-    [[nodiscard]] std::size_t numSamples() const;
+    [[nodiscard]] std::size_t numSamples() const { return gp_.numSamples(); }
 
     /** The options in force. */
     [[nodiscard]] const EngineOptions& options() const { return options_; }
@@ -130,7 +124,7 @@ class BoEngine
      * Serialize a deterministic refit recipe: the training set, the
      * fitted kernel length scale, and the grid-refit phase. The GP
      * factorization itself is not saved - refitting from the training
-     * set is pinned bit-identical to the incremental paths.
+     * set is pinned bit-identical to the incremental path.
      */
     void saveState(persist::StateWriter& w) const;
 
@@ -138,22 +132,13 @@ class BoEngine
     void restoreState(persist::StateReader& r);
 
   private:
-    /**
-     * Refit after inputs_/targets_ changed. @p appended means the
-     * change was a single push_back (enables the O(n^2) rank-1 path
-     * without a prefix re-comparison).
-     */
-    void refit(bool appended);
-
     /** Shared acquisition maximization (penalties may be null). */
     [[nodiscard]] std::size_t suggestImpl(
         const std::vector<RealVec>& candidates,
         const std::vector<double>* penalties) const;
 
     EngineOptions options_;
-    std::unique_ptr<GaussianProcess> gp_;
-    std::vector<RealVec> inputs_;
-    std::vector<double> targets_;
+    GaussianProcess gp_;
     std::size_t fits_since_grid_ = 0;
 
     /** Acquisition scratch, reused across suggest/probe calls. Makes

@@ -29,23 +29,20 @@ struct GpPrediction
 };
 
 /**
- * Gaussian-process regression with a pluggable kernel and Gaussian
- * observation noise. fit() is a full refit (O(n^3)); the incremental
- * paths (addObservation, fitIncremental) reuse the cached kernel
- * matrix and extend the Cholesky factor in place, dropping the
- * steady-state per-update cost to O(n^2) while producing results
+ * Gaussian-process regression with the Matern 5/2 kernel and Gaussian
+ * observation noise. The GP owns its training set. fit() is a full
+ * refit (O(n^3)); fitIncremental() recognizes a training set that
+ * extends the fitted one by a single appended sample, reuses the
+ * cached kernel matrix and extends the Cholesky factor in place,
+ * dropping that update to O(n^2) while producing results
  * bit-identical to the full refit (the appended factor row is
  * computed with exactly the refit's arithmetic). Predictions are
  * O(n) mean / O(n^2) variance.
  *
  * Targets are internally standardized (zero mean, unit variance) so
  * kernel signal variance ~1 remains well-matched as the objective
- * scale changes with the dynamic weights. The incremental paths
- * re-standardize exactly on every update; when the target scale has
- * drifted far from the scale at the last full factorization the
- * update additionally refreshes the factorization from the cached
- * kernel matrix (a numerical-hygiene backstop - the factor itself
- * never depends on the targets, so this changes nothing observable).
+ * scale changes with the dynamic weights. Every update re-standardizes
+ * exactly; the factor never depends on the targets.
  *
  * Thread-safety: const prediction methods reuse internal scratch
  * buffers and are therefore NOT safe to call concurrently on the
@@ -55,13 +52,8 @@ class GaussianProcess
 {
   public:
     /** @param noise_variance observation-noise variance (>= 0). */
-    explicit GaussianProcess(std::unique_ptr<Kernel> kernel,
+    explicit GaussianProcess(Matern52Kernel kernel,
                              double noise_variance = 1e-4);
-
-    GaussianProcess(const GaussianProcess& other);
-    GaussianProcess& operator=(const GaussianProcess& other);
-    GaussianProcess(GaussianProcess&&) = default;
-    GaussianProcess& operator=(GaussianProcess&&) = default;
 
     /**
      * Fit to @p inputs (n vectors, equal length) and @p targets
@@ -71,28 +63,16 @@ class GaussianProcess
              const std::vector<double>& targets);
 
     /**
-     * Append one observation and update the fit in O(n^2): only the
-     * new cross-covariance row is computed, the Cholesky factor is
-     * extended in place, and the targets are re-standardized exactly.
-     * Falls back to a full refactorization from the cached kernel
-     * matrix when the rank-1 update hits an SPD failure (e.g. a
-     * duplicated input at zero jitter) or the target scale has
-     * drifted past the tolerance. Results are bit-identical to
-     * fit() on the extended training set either way.
-     */
-    void addObservation(const RealVec& x, double target);
-
-    /**
-     * Like fit(), but recognizes two cheap relationships between
-     * @p inputs and the currently fitted training set:
-     *  - identical inputs: only the targets changed (SATORI's
-     *    re-weighted per-interval reconstruction), so the cached
-     *    factorization is reused and only the O(n^2) standardize +
-     *    solve re-runs;
-     *  - one appended input: the rank-1 addObservation path.
-     * Anything else (trimmed samples, reordered samples) takes the
-     * full O(n^3) refit. Equality is bitwise, so a false negative
-     * merely costs a full refit, never correctness.
+     * Like fit(), but when @p inputs is the fitted training set with
+     * one input appended, only the new cross-covariance row is
+     * computed and the Cholesky factor is extended in place (O(n^2)).
+     * An SPD failure of that append (e.g. a duplicated input at zero
+     * jitter) refactorizes the cached kernel matrix from scratch, so
+     * the jitter ladder replays exactly as fit()'s would. Any other
+     * training set (new targets on the same inputs, a shifted or
+     * trimmed window) takes fit(). Equality is bitwise, so a false
+     * negative merely costs a full refit; results are bit-identical
+     * to fit() on every path.
      */
     void fitIncremental(const std::vector<RealVec>& inputs,
                         const std::vector<double>& targets);
@@ -112,10 +92,6 @@ class GaussianProcess
      */
     void predictBatchInto(const std::vector<RealVec>& xs,
                           std::vector<GpPrediction>& out) const;
-
-    /** Convenience predictBatchInto returning a fresh vector. */
-    [[nodiscard]] std::vector<GpPrediction> predictBatch(
-        const std::vector<RealVec>& xs) const;
 
     /**
      * Posterior means only, for all of @p xs: the predictBatchInto
@@ -140,8 +116,14 @@ class GaussianProcess
     /** Number of training samples in the current fit. */
     [[nodiscard]] std::size_t numSamples() const { return inputs_.size(); }
 
+    /** The fitted training inputs, in fit order. */
+    [[nodiscard]] const std::vector<RealVec>& inputs() const { return inputs_; }
+
+    /** The fitted training targets (original scale), in fit order. */
+    [[nodiscard]] const std::vector<double>& targets() const { return y_raw_; }
+
     /** The kernel in use. */
-    [[nodiscard]] const Kernel& kernel() const { return *kernel_; }
+    [[nodiscard]] const Matern52Kernel& kernel() const { return kernel_; }
 
   private:
     /** Working storage for predictBlocked, reused (and grown) across
@@ -164,9 +146,6 @@ class GaussianProcess
     void predictBlocked(const std::vector<RealVec>& xs,
                         GpPrediction* preds, double* means) const;
 
-    /** Full fit of inputs_/y_raw_: rebuild the kernel cache + factor. */
-    void fitStandardized();
-
     /** Fill k_cache_ from kernel_/inputs_ (noise on the diagonal). */
     void buildKernelCache();
 
@@ -184,14 +163,10 @@ class GaussianProcess
      */
     [[nodiscard]] bool tryExtendFactor(const RealVec& x);
 
-    /** Target scale moved too far from the last full factorization? */
-    [[nodiscard]] bool scaleDrifted() const;
+    /** inputs_ bitwise-equal to the first inputs_.size() of @p other? */
+    [[nodiscard]] bool samePrefix(const std::vector<RealVec>& other) const;
 
-    /** inputs_[0..n) bitwise-equal to other[0..n)? */
-    [[nodiscard]] bool samePrefix(const std::vector<RealVec>& other,
-                                  std::size_t n) const;
-
-    std::unique_ptr<Kernel> kernel_;
+    Matern52Kernel kernel_;
     double noise_variance_;
     bool fitted_ = false;
 
@@ -209,10 +184,7 @@ class GaussianProcess
      * skip the O(n^2) kernel re-evaluation. */
     linalg::Matrix k_cache_;
 
-    /** y_scale_ at the last full factorization (drift anchor). */
-    double anchor_scale_ = 1.0;
-
-    // Prediction scratch (not copied; see thread-safety note above).
+    // Prediction scratch (see the thread-safety note above).
     mutable BatchScratch scratch_;
 };
 

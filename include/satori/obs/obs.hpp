@@ -63,7 +63,6 @@ struct LibraryMetrics
     Counter& bo_screen_pruned;       ///< Always 0: no prefilter runs.
     Counter& gp_fits;                ///< GP Cholesky factorizations.
     Counter& gp_incremental_updates; ///< O(n^2) rank-1 GP appends.
-    Counter& gp_refresh_solves;      ///< Factor-reusing target refreshes.
     Counter& guard_healthy;          ///< Telemetry samples passed.
     Counter& guard_repaired;         ///< Telemetry samples repaired.
     Counter& guard_unusable;         ///< Telemetry samples rejected.

@@ -7,15 +7,19 @@
  *
  * Registration is the slow path: it validates names, allocates the
  * instrument, and returns a stable reference. Updates through that
- * reference are plain integer/float stores - no locks, no lookups,
+ * reference are relaxed atomic operations - no locks, no lookups,
  * no allocation - so instruments can live on the controller's 100 ms
- * decision path without distorting what they measure. Snapshots copy
- * all values at once, so a snapshot is isolated from later updates.
+ * decision path without distorting what they measure, while the
+ * metrics exporter's thread snapshots them. Snapshots copy all values
+ * at once, so a snapshot is isolated from later updates (each value
+ * is read atomically; a snapshot taken mid-update may see a histogram
+ * bucket before its count).
  */
 
 #ifndef SATORI_OBS_REGISTRY_HPP
 #define SATORI_OBS_REGISTRY_HPP
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -32,17 +36,23 @@ class Counter
   public:
     Counter() = default;
 
-    /** Add @p n events (hot path: one integer add). */
-    void inc(std::uint64_t n = 1) { value_ += n; }
+    /** Add @p n events (hot path: one atomic add). */
+    void inc(std::uint64_t n = 1)
+    {
+        value_.fetch_add(n, std::memory_order_relaxed);
+    }
 
     /** Current count. */
-    [[nodiscard]] std::uint64_t value() const { return value_; }
+    [[nodiscard]] std::uint64_t value() const
+    {
+        return value_.load(std::memory_order_relaxed);
+    }
 
     /** Zero the count (registry reset). */
-    void reset() { value_ = 0; }
+    void reset() { value_.store(0, std::memory_order_relaxed); }
 
   private:
-    std::uint64_t value_ = 0;
+    std::atomic<std::uint64_t> value_{0};
 };
 
 /** A point-in-time level that can move both ways. */
@@ -52,16 +62,19 @@ class Gauge
     Gauge() = default;
 
     /** Record the current level (hot path: one store). */
-    void set(double value) { value_ = value; }
+    void set(double value) { value_.store(value, std::memory_order_relaxed); }
 
     /** Last recorded level. */
-    [[nodiscard]] double value() const { return value_; }
+    [[nodiscard]] double value() const
+    {
+        return value_.load(std::memory_order_relaxed);
+    }
 
     /** Zero the level (registry reset). */
-    void reset() { value_ = 0.0; }
+    void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
   private:
-    double value_ = 0.0;
+    std::atomic<double> value_{0.0};
 };
 
 /**
@@ -79,7 +92,8 @@ class Histogram
      */
     explicit Histogram(std::vector<double> bounds);
 
-    /** Record one observation (hot path: short scan + two adds). */
+    /** Record one observation (hot path: short scan + three atomic
+     * adds). */
     void observe(double value);
 
     /** The configured upper bounds (excluding the implicit +Inf). */
@@ -92,25 +106,29 @@ class Histogram
      * Per-bucket (non-cumulative) counts; index bounds().size() is
      * the +Inf bucket.
      */
-    [[nodiscard]] const std::vector<std::uint64_t>& bucketCounts() const
-    {
-        return counts_;
-    }
+    [[nodiscard]] std::vector<std::uint64_t> bucketCounts() const;
 
     /** Total observations. */
-    [[nodiscard]] std::uint64_t count() const { return count_; }
+    [[nodiscard]] std::uint64_t count() const
+    {
+        return count_.load(std::memory_order_relaxed);
+    }
 
     /** Sum of all observed values. */
-    [[nodiscard]] double sum() const { return sum_; }
+    [[nodiscard]] double sum() const
+    {
+        return sum_.load(std::memory_order_relaxed);
+    }
 
     /** Zero all buckets (registry reset). */
     void reset();
 
   private:
     std::vector<double> bounds_;
-    std::vector<std::uint64_t> counts_; ///< bounds_.size() + 1 entries.
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
+    /** bounds_.size() + 1 entries. */
+    std::vector<std::atomic<std::uint64_t>> counts_;
+    std::atomic<std::uint64_t> count_{0};
+    std::atomic<double> sum_{0.0};
 };
 
 /** One counter's value at snapshot time. */

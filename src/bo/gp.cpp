@@ -17,16 +17,6 @@ namespace bo {
 
 namespace {
 
-/**
- * How far the target scale may drift from the scale at the last full
- * factorization before an incremental update also refreshes the
- * factorization. The factor never depends on the targets, so this is
- * numerical hygiene only - it changes nothing observable - but it
- * bounds how long a factor extended purely by rank-1 appends lives
- * while the objective magnitude moves by orders of magnitude.
- */
-constexpr double kScaleDriftTolerance = 32.0;
-
 /** Candidate block size for the batched prediction paths: bounds the
  * kstar/v scratch at n x 256 doubles so a 10k-candidate sweep stays
  * cache-resident instead of materializing a 10k-row matrix. */
@@ -40,35 +30,11 @@ GpPrediction::stddev() const
     return std::sqrt(std::max(variance, 0.0));
 }
 
-GaussianProcess::GaussianProcess(std::unique_ptr<Kernel> kernel,
+GaussianProcess::GaussianProcess(Matern52Kernel kernel,
                                  double noise_variance)
-    : kernel_(std::move(kernel)), noise_variance_(noise_variance)
+    : kernel_(kernel), noise_variance_(noise_variance)
 {
-    SATORI_ASSERT(kernel_ != nullptr);
     SATORI_ASSERT(noise_variance_ >= 0.0);
-}
-
-GaussianProcess::GaussianProcess(const GaussianProcess& other)
-    : kernel_(other.kernel_->clone()),
-      noise_variance_(other.noise_variance_), fitted_(other.fitted_),
-      inputs_(other.inputs_), y_raw_(other.y_raw_), y_std_(other.y_std_),
-      y_mean_(other.y_mean_), y_scale_(other.y_scale_),
-      chol_(other.chol_
-                ? std::make_unique<linalg::Cholesky>(*other.chol_)
-                : nullptr),
-      alpha_(other.alpha_), log_marginal_(other.log_marginal_),
-      k_cache_(other.k_cache_), anchor_scale_(other.anchor_scale_)
-{
-}
-
-GaussianProcess&
-GaussianProcess::operator=(const GaussianProcess& other)
-{
-    if (this != &other) {
-        GaussianProcess copy(other);
-        *this = std::move(copy);
-    }
-    return *this;
 }
 
 void
@@ -79,12 +45,6 @@ GaussianProcess::fit(const std::vector<RealVec>& inputs,
     SATORI_ASSERT(!inputs.empty());
     inputs_ = inputs;
     y_raw_ = targets;
-    fitStandardized();
-}
-
-void
-GaussianProcess::fitStandardized()
-{
     buildKernelCache();
     refitFromCache();
 }
@@ -99,7 +59,7 @@ GaussianProcess::buildKernelCache()
     // a stationary kernel (the distance accumulation sees the same
     // operands) and keeps every write contiguous.
     for (std::size_t i = 0; i < n; ++i) {
-        kernel_->covarianceRow(inputs_[i], inputs_, &k_cache_(i, 0));
+        kernel_.covarianceRow(inputs_[i], inputs_, &k_cache_(i, 0));
         k_cache_(i, i) += noise_variance_;
     }
 }
@@ -121,7 +81,6 @@ GaussianProcess::refitFromCache()
         chol_->jitter(), chol_->conditionEstimate(), n, __FILE__,
         __LINE__));
     standardizeAndSolve();
-    anchor_scale_ = y_scale_;
 }
 
 void
@@ -152,8 +111,8 @@ GaussianProcess::tryExtendFactor(const RealVec& x)
     // upper-triangle order is k(existing_i, new), diagonal gets the
     // kernel self-covariance first, then the noise added on top.
     std::vector<double> cross(n);
-    kernel_->covarianceRow(x, inputs_, cross.data());
-    double diag = kernel_->covariance(x, x);
+    kernel_.covarianceRow(x, inputs_, cross.data());
+    double diag = kernel_.covariance(x, x);
     diag += noise_variance_;
 
     linalg::Matrix grown(n + 1, n + 1);
@@ -170,17 +129,9 @@ GaussianProcess::tryExtendFactor(const RealVec& x)
 }
 
 bool
-GaussianProcess::scaleDrifted() const
+GaussianProcess::samePrefix(const std::vector<RealVec>& other) const
 {
-    return y_scale_ > anchor_scale_ * kScaleDriftTolerance ||
-           y_scale_ * kScaleDriftTolerance < anchor_scale_;
-}
-
-bool
-GaussianProcess::samePrefix(const std::vector<RealVec>& other,
-                            std::size_t n) const
-{
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i < inputs_.size(); ++i) {
         if (other[i].size() != inputs_[i].size())
             return false;
         // Bitwise comparison on purpose: equality must mean "the
@@ -194,16 +145,18 @@ GaussianProcess::samePrefix(const std::vector<RealVec>& other,
 }
 
 void
-GaussianProcess::addObservation(const RealVec& x, double target)
+GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
+                                const std::vector<double>& targets)
 {
-    if (!fitted_) {
-        inputs_.assign(1, x);
-        y_raw_.assign(1, target);
-        fitStandardized();
+    SATORI_ASSERT(inputs.size() == targets.size());
+    SATORI_ASSERT(!inputs.empty());
+    if (!fitted_ || inputs.size() != inputs_.size() + 1 ||
+        !samePrefix(inputs)) {
+        fit(inputs, targets);
         return;
     }
-    const bool extended = tryExtendFactor(x);
-    y_raw_.push_back(target);
+    const bool extended = tryExtendFactor(inputs.back());
+    y_raw_ = targets;
     if (!extended) {
         // SPD failure at the current jitter (e.g. a duplicated input
         // at jitter 0): refactorize the cached matrix from scratch so
@@ -218,47 +171,6 @@ GaussianProcess::addObservation(const RealVec& x, double target)
         chol_->jitter(), chol_->conditionEstimate(), inputs_.size(),
         __FILE__, __LINE__));
     standardizeAndSolve();
-    if (scaleDrifted())
-        refitFromCache();
-}
-
-void
-GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
-                                const std::vector<double>& targets)
-{
-    SATORI_ASSERT(inputs.size() == targets.size());
-    SATORI_ASSERT(!inputs.empty());
-    if (fitted_ && inputs.size() == inputs_.size() &&
-        samePrefix(inputs, inputs_.size())) {
-        // Same geometry, new targets (the re-weighted per-interval
-        // reconstruction): reuse the factor, re-solve only.
-        SATORI_OBS_SPAN("gp.fit.refresh");
-        SATORI_OBS_METRIC(gp_refresh_solves.inc());
-        y_raw_ = targets;
-        standardizeAndSolve();
-        if (scaleDrifted())
-            refitFromCache();
-        return;
-    }
-    if (fitted_ && inputs.size() == inputs_.size() + 1 &&
-        samePrefix(inputs, inputs_.size())) {
-        const bool extended = tryExtendFactor(inputs.back());
-        y_raw_ = targets;
-        if (!extended) {
-            refitFromCache();
-            return;
-        }
-        SATORI_OBS_SPAN("gp.fit.incremental");
-        SATORI_OBS_METRIC(gp_incremental_updates.inc());
-        SATORI_AUDIT_HOOK(analysis::globalAuditor().checkCholesky(
-            chol_->jitter(), chol_->conditionEstimate(), inputs_.size(),
-            __FILE__, __LINE__));
-        standardizeAndSolve();
-        if (scaleDrifted())
-            refitFromCache();
-        return;
-    }
-    fit(inputs, targets);
 }
 
 GpPrediction
@@ -267,16 +179,16 @@ GaussianProcess::predict(const RealVec& x) const
     SATORI_ASSERT(fitted_);
     const std::size_t n = inputs_.size();
     std::vector<double> kstar(n);
-    kernel_->covarianceRow(x, inputs_, kstar.data());
+    kernel_.covarianceRow(x, inputs_, kstar.data());
 
     GpPrediction pred;
     pred.mean = y_mean_ + y_scale_ * linalg::dot(kstar, alpha_);
 
     const std::vector<double> v = chol_->solveLower(kstar);
     const double var_std =
-        kernel_->variance() - linalg::dot(v, v);
+        kernel_.variance() - linalg::dot(v, v);
     SATORI_AUDIT_HOOK(analysis::globalAuditor().checkPosteriorVariance(
-        var_std, kernel_->variance(), __FILE__, __LINE__));
+        var_std, kernel_.variance(), __FILE__, __LINE__));
     pred.variance = std::max(var_std, 0.0) * y_scale_ * y_scale_;
     return pred;
 }
@@ -297,12 +209,12 @@ GaussianProcess::predictBlocked(const std::vector<RealVec>& xs,
         // Cross-covariance block, training-sample-major: row i holds
         // k(inputs_[i], candidate c) for the whole block. Every
         // element is bit-identical to the candidate-major row the
-        // per-point path computes (see Kernel::covarianceCross), the
-        // layout just turns the downstream GEMV and multi-solve into
-        // contiguous lane-parallel row sweeps.
+        // per-point path computes (see Matern52Kernel::covarianceCross),
+        // the layout just turns the downstream GEMV and multi-solve
+        // into contiguous lane-parallel row sweeps.
         for (std::size_t i = 0; i < n; ++i)
-            kernel_->covarianceCross(scratch_.pts, inputs_[i],
-                                     scratch_.kstar_t.rowPtr(i));
+            kernel_.covarianceCross(scratch_.pts, inputs_[i],
+                                    scratch_.kstar_t.rowPtr(i));
         // mean_std[c] accumulates alpha_[i] * k* in ascending i - the
         // exact linalg::dot order predict() uses, one lane per
         // candidate.
@@ -327,10 +239,10 @@ GaussianProcess::predictBlocked(const std::vector<RealVec>& xs,
         GpPrediction* o = preds + b0;
         for (std::size_t c = 0; c < bsz; ++c) {
             o[c].mean = y_mean_ + y_scale_ * scratch_.means[c];
-            const double var_std = kernel_->variance() - scratch_.vv[c];
+            const double var_std = kernel_.variance() - scratch_.vv[c];
             SATORI_AUDIT_HOOK(
                 analysis::globalAuditor().checkPosteriorVariance(
-                    var_std, kernel_->variance(), __FILE__, __LINE__));
+                    var_std, kernel_.variance(), __FILE__, __LINE__));
             o[c].variance =
                 std::max(var_std, 0.0) * y_scale_ * y_scale_;
         }
@@ -353,14 +265,6 @@ GaussianProcess::predictMeansInto(const std::vector<RealVec>& xs,
     predictBlocked(xs, nullptr, out.data());
 }
 
-std::vector<GpPrediction>
-GaussianProcess::predictBatch(const std::vector<RealVec>& xs) const
-{
-    std::vector<GpPrediction> out;
-    predictBatchInto(xs, out);
-    return out;
-}
-
 double
 GaussianProcess::logMarginalLikelihood() const
 {
@@ -378,36 +282,33 @@ GaussianProcess::fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
     // the winner can be restored directly instead of paying an extra
     // O(n^3) refit at the end.
     double best_lml = -std::numeric_limits<double>::infinity();
-    std::unique_ptr<Kernel> best_kernel;
+    Matern52Kernel best_kernel = kernel_;
     std::unique_ptr<linalg::Cholesky> best_chol;
     std::vector<double> best_alpha;
     std::vector<double> best_y_std;
     double best_y_mean = 0.0;
     double best_y_scale = 1.0;
-    double best_anchor = 1.0;
     linalg::Matrix best_cache;
     for (double ls : grid) {
-        kernel_ = kernel_->withLengthScale(ls);
+        kernel_ = Matern52Kernel(ls, kernel_.variance());
         fit(inputs, targets);
         if (log_marginal_ > best_lml) {
             best_lml = log_marginal_;
-            best_kernel = kernel_->clone();
+            best_kernel = kernel_;
             best_chol = std::make_unique<linalg::Cholesky>(*chol_);
             best_alpha = alpha_;
             best_y_std = y_std_;
             best_y_mean = y_mean_;
             best_y_scale = y_scale_;
-            best_anchor = anchor_scale_;
             best_cache = k_cache_;
         }
     }
-    kernel_ = std::move(best_kernel);
+    kernel_ = best_kernel;
     chol_ = std::move(best_chol);
     alpha_ = std::move(best_alpha);
     y_std_ = std::move(best_y_std);
     y_mean_ = best_y_mean;
     y_scale_ = best_y_scale;
-    anchor_scale_ = best_anchor;
     k_cache_ = std::move(best_cache);
     log_marginal_ = best_lml;
 }

@@ -88,23 +88,6 @@ accumSquare(double* acc, const double* xs, std::size_t n)
         acc[i] += xs[i] * xs[i];
 }
 
-void
-fastExpNegInto(double* out, const double* z, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = detail::expNegOne(z[i]);
-}
-
-void
-matern52FromSqDistInto(double* out, const double* d2,
-                       double scaled_inv_ls, double signal_variance,
-                       std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] =
-            detail::matern52One(d2[i], scaled_inv_ls, signal_variance);
-}
-
 } // namespace ref
 
 namespace {
@@ -198,28 +181,6 @@ accumSquare(double* acc, const double* xs, std::size_t n)
         ref::accumSquare(acc, xs, n);
 }
 
-void
-fastExpNegInto(double* out, const double* z, std::size_t n)
-{
-    if (kVectorized)
-        avx2::fastExpNegInto(out, z, n);
-    else
-        ref::fastExpNegInto(out, z, n);
-}
-
-void
-matern52FromSqDistInto(double* out, const double* d2,
-                       double scaled_inv_ls, double signal_variance,
-                       std::size_t n)
-{
-    if (kVectorized)
-        avx2::matern52FromSqDistInto(out, d2, scaled_inv_ls,
-                                     signal_variance, n);
-    else
-        ref::matern52FromSqDistInto(out, d2, scaled_inv_ls,
-                                    signal_variance, n);
-}
-
 #else // !SATORI_SIMD_AVX2
 
 void
@@ -265,21 +226,6 @@ void
 accumSquare(double* acc, const double* xs, std::size_t n)
 {
     ref::accumSquare(acc, xs, n);
-}
-
-void
-fastExpNegInto(double* out, const double* z, std::size_t n)
-{
-    ref::fastExpNegInto(out, z, n);
-}
-
-void
-matern52FromSqDistInto(double* out, const double* d2,
-                       double scaled_inv_ls, double signal_variance,
-                       std::size_t n)
-{
-    ref::matern52FromSqDistInto(out, d2, scaled_inv_ls,
-                                signal_variance, n);
 }
 
 #endif // SATORI_SIMD_AVX2

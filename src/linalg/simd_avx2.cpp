@@ -14,14 +14,13 @@
  *
  * Every loop body below performs, per lane, exactly the operation
  * sequence of the scalar reference in simd.cpp; remainder elements
- * (n % 4) run the very same scalar helpers. simd_test pins the
+ * (n % 4) run the very same scalar operations. simd_test pins the
  * equivalence with memcmp.
  */
 
 #if defined(SATORI_SIMD_AVX2)
 
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 
 #include "simd_kernels.hpp"
@@ -34,7 +33,6 @@ namespace avx2 {
 namespace {
 
 using v4d = double __attribute__((vector_size(32)));
-using v4i = std::int64_t __attribute__((vector_size(32)));
 
 inline v4d
 load4(const double* p)
@@ -54,53 +52,6 @@ inline v4d
 broadcast(double a)
 {
     return v4d{ a, a, a, a };
-}
-
-/** IEEE-correctly-rounded lane-wise sqrt (vsqrtpd) - bit-identical
- * to std::sqrt per lane, like the scalar helper. */
-inline v4d
-sqrt4(v4d v)
-{
-    return __builtin_ia32_sqrtpd256(v);
-}
-
-/**
- * Four lanes of detail::expNegOne - the same constants, the same
- * operation order. Shared by fastExpNegInto and the fused Matern
- * kernel so the exp lanes cannot drift apart.
- */
-inline v4d
-expNeg4(v4d zv)
-{
-    const v4d zmax = broadcast(detail::kZMax);
-    const v4d log2e = broadcast(detail::kLog2E);
-    const v4d shifter = broadcast(detail::kShifter);
-    const v4d ln2hi = broadcast(detail::kLn2Hi);
-    const v4d ln2lo = broadcast(detail::kLn2Lo);
-    const v4d one = broadcast(1.0);
-    // big = all-ones lanes where z > kZMax (flushed to 0 at the end)
-    const v4i big = (v4i)(zv > zmax);
-    const v4d zc = (v4d)(((v4i)zmax & big) | ((v4i)zv & ~big));
-    const v4d t = -zc;
-    const v4d kd = t * log2e + shifter;
-    const v4d kf = kd - shifter;
-    const v4d r_hi = t - kf * ln2hi;
-    const v4d r = r_hi - kf * ln2lo;
-    v4d p = broadcast(detail::kExpC9);
-    p = p * r + broadcast(detail::kExpC8);
-    p = p * r + broadcast(detail::kExpC7);
-    p = p * r + broadcast(detail::kExpC6);
-    p = p * r + broadcast(detail::kExpC5);
-    p = p * r + broadcast(detail::kExpC4);
-    p = p * r + broadcast(detail::kExpC3);
-    p = p * r + broadcast(detail::kExpC2);
-    p = p * r + one;
-    p = p * r + one;
-    const v4i ki = __builtin_convertvector(kf, v4i);
-    const v4i scale_bits = (ki + 1023) << 52;
-    const v4d scale = (v4d)scale_bits;
-    const v4d res = p * scale;
-    return (v4d)((v4i)res & ~big);
 }
 
 } // namespace
@@ -229,37 +180,6 @@ accumSquare(double* acc, const double* xs, std::size_t n)
     }
     for (; i < n; ++i)
         acc[i] += xs[i] * xs[i];
-}
-
-void
-fastExpNegInto(double* out, const double* z, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        store4(out + i, expNeg4(load4(z + i)));
-    for (; i < n; ++i)
-        out[i] = detail::expNegOne(z[i]);
-}
-
-void
-matern52FromSqDistInto(double* out, const double* d2,
-                       double scaled_inv_ls, double signal_variance,
-                       std::size_t n)
-{
-    // Vector transcription of detail::matern52One, lane by lane.
-    const v4d cv = broadcast(scaled_inv_ls);
-    const v4d sv = broadcast(signal_variance);
-    const v4d one = broadcast(1.0);
-    const v4d third = broadcast(detail::kThird);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const v4d zv = sqrt4(load4(d2 + i)) * cv;
-        const v4d poly = (one + zv) + (zv * zv) * third;
-        store4(out + i, (sv * poly) * expNeg4(zv));
-    }
-    for (; i < n; ++i)
-        out[i] =
-            detail::matern52One(d2[i], scaled_inv_ls, signal_variance);
 }
 
 } // namespace avx2

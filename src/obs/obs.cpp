@@ -73,9 +73,6 @@ LibraryMetrics::LibraryMetrics(MetricsRegistry& registry)
       gp_incremental_updates(registry.counter(
           "satori.gp.incremental_updates",
           "Rank-1 Cholesky appends that skipped the full refit")),
-      gp_refresh_solves(registry.counter(
-          "satori.gp.refresh_solves",
-          "Target-only refreshes that reused the cached factor")),
       guard_healthy(registry.counter(
           "satori.guard.healthy",
           "Telemetry samples the guard passed through unchanged")),

@@ -65,7 +65,7 @@ escapeText(const std::string& text)
 } // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds))
+    : bounds_(std::move(bounds)), counts_(bounds_.size() + 1)
 {
     if (bounds_.empty())
         SATORI_FATAL("histogram needs at least one bucket bound");
@@ -76,7 +76,6 @@ Histogram::Histogram(std::vector<double> bounds)
             SATORI_FATAL("histogram bucket bounds must be strictly "
                          "ascending");
     }
-    counts_.assign(bounds_.size() + 1, 0);
 }
 
 void
@@ -89,17 +88,28 @@ Histogram::observe(double value)
             break;
         }
     }
-    ++counts_[bucket];
-    ++count_;
-    sum_ += value;
+    counts_[bucket].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+}
+
+std::vector<std::uint64_t>
+Histogram::bucketCounts() const
+{
+    std::vector<std::uint64_t> out;
+    out.reserve(counts_.size());
+    for (const auto& c : counts_)
+        out.push_back(c.load(std::memory_order_relaxed));
+    return out;
 }
 
 void
 Histogram::reset()
 {
-    std::fill(counts_.begin(), counts_.end(), 0);
-    count_ = 0;
-    sum_ = 0.0;
+    for (auto& c : counts_)
+        c.store(0, std::memory_order_relaxed);
+    count_.store(0, std::memory_order_relaxed);
+    sum_.store(0.0, std::memory_order_relaxed);
 }
 
 void

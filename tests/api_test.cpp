@@ -117,17 +117,6 @@ TEST(ApiTest, AcquisitionVariantsRunInsideTheController)
     }
 }
 
-TEST(ApiTest, RbfKernelWorksAsAlternativeProxy)
-{
-    bo::EngineOptions eng;
-    // A controller can be built around an RBF GP by pre-seeding the
-    // engine; here we check the GP-level swap directly.
-    bo::GaussianProcess gp(std::make_unique<bo::RbfKernel>(0.4), 1e-4);
-    gp.fit({{0.0}, {0.5}, {1.0}}, {0.0, 1.0, 0.0});
-    EXPECT_GT(gp.predict({0.5}).mean, gp.predict({0.0}).mean);
-    (void)eng;
-}
-
 TEST(ApiTest, TraceBackedComparisonPipeline)
 {
     PlatformSpec p;

@@ -7,6 +7,7 @@
  * exercises appends, window trims, settling, and baseline resets.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "satori/harness/experiment.hpp"
 #include "satori/harness/scenarios.hpp"
 #include "satori/harness/trace.hpp"
+#include "satori/obs/obs.hpp"
 #include "satori/workloads/mixes.hpp"
 
 namespace satori {
@@ -53,8 +55,9 @@ runWithTrace(const std::string& path, bool incremental,
  * per-interval decision record (time, chosen config, per-job IPS and
  * speedups, metrics) must match the full-refit path byte for byte.
  * 12 s at 100 ms intervals crosses the baseline-reset period and the
- * GP sample window, so appends, target-refreshes, and full-refit
- * fallbacks all occur.
+ * GP sample window, so the fast run takes both of the GP's update
+ * branches - rank-1 appends and full refits - and the obs counters
+ * prove it.
  */
 TEST(PerfPathTest, IncrementalDecisionTraceByteIdenticalToFullRefit)
 {
@@ -62,10 +65,22 @@ TEST(PerfPathTest, IncrementalDecisionTraceByteIdenticalToFullRefit)
     const std::string full_path = "/tmp/satori_perf_full.csv";
     const std::vector<std::string> mix = {"canneal", "swaptions",
                                           "streamcluster"};
+    obs::Observability& o = obs::observability();
+    o.resetAll();
+    o.setMetricsEnabled(true);
     const std::string fast = runWithTrace(fast_path, true, mix, 12.0);
+    [[maybe_unused]] const std::uint64_t appends =
+        o.lib().gp_incremental_updates.value();
+    [[maybe_unused]] const std::uint64_t full_fits =
+        o.lib().gp_fits.value();
+    o.resetAll();
     const std::string full = runWithTrace(full_path, false, mix, 12.0);
     EXPECT_FALSE(fast.empty());
     EXPECT_EQ(fast, full);
+#if defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED
+    EXPECT_GT(appends, 0u);
+    EXPECT_GT(full_fits, 0u);
+#endif
     std::remove(fast_path.c_str());
     std::remove(full_path.c_str());
 }
