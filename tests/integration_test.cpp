@@ -7,7 +7,12 @@
  */
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <optional>
+#include <string>
 #include <gtest/gtest.h>
 
 #include "satori/satori.hpp"
@@ -201,6 +206,86 @@ TEST(IntegrationTest, ExtensibleObjectiveAcceptsThirdGoal)
             next.isValidFor(server.platform(), server.numJobs()));
         server.setConfiguration(next);
     }
+}
+
+/**
+ * Forwards to a policy and folds every decision's toString() into a
+ * running 64-bit FNV-1a hash.
+ */
+class DigestingPolicy final : public core::PartitioningPolicy
+{
+  public:
+    DigestingPolicy(core::PartitioningPolicy& inner, std::uint64_t& hash)
+        : inner_(inner), hash_(hash)
+    {
+    }
+
+    [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+    Configuration decide(const IntervalObservation& obs) override
+    {
+        Configuration next = inner_.decide(obs);
+        for (const char ch : next.toString() + "\n") {
+            hash_ ^= static_cast<unsigned char>(ch);
+            hash_ *= 0x100000001b3ULL;
+        }
+        return next;
+    }
+
+    void reset() override { inner_.reset(); }
+
+  private:
+    core::PartitioningPolicy& inner_;
+    std::uint64_t& hash_;
+};
+
+/** One 60 s satori_sim-equivalent run on parsec 5-job mix 3. */
+void
+digestRun(const std::string& policy_name, bool power_cap_with_faults,
+          std::uint64_t& hash)
+{
+    const workloads::JobMix mix =
+        workloads::allMixes(workloads::suiteByName("parsec"), 5).at(3);
+    PlatformSpec platform;
+    platform.addResource(ResourceKind::Cores, 10);
+    platform.addResource(ResourceKind::LlcWays, 11);
+    platform.addResource(ResourceKind::MemBandwidth, 10);
+    if (power_cap_with_faults)
+        platform.addResource(ResourceKind::PowerCap, 10);
+    auto server = harness::makeServer(platform, mix, 42, 0.04);
+    auto policy = harness::makePolicy(policy_name, server);
+    DigestingPolicy digesting(*policy, hash);
+
+    harness::ExperimentOptions opt;
+    opt.duration = 60.0;
+    std::optional<faults::FaultInjector> injector;
+    if (power_cap_with_faults) {
+        const auto horizon =
+            static_cast<std::size_t>(opt.duration / opt.dt);
+        injector.emplace(
+            faults::FaultPlan::escalating(mix.jobs.size(), horizon),
+            0xFA17);
+        opt.faults = &*injector;
+    }
+    (void)harness::ExperimentRunner(opt).run(server, digesting, mix.label);
+}
+
+TEST(IntegrationTest, DecisionDigestIsPinned)
+{
+    // Every decision of three fixed runs, hashed: SATORI on parsec
+    // 5-job mix 3, SATORI on the power-cap platform under the
+    // escalating fault preset, and CLITE on the first run's mix. A
+    // refactor that claims to keep decisions bit-identical must leave
+    // this digest unchanged; a deliberate decision change updates
+    // kPinned to the value printed on mismatch.
+    constexpr std::uint64_t kPinned = 0xd02336a87051a887ULL;
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    digestRun("SATORI", false, hash);
+    digestRun("SATORI", true, hash);
+    digestRun("CLITE", false, hash);
+    char printed[32];
+    std::snprintf(printed, sizeof printed, "0x%016" PRIx64 "ULL", hash);
+    EXPECT_EQ(hash, kPinned) << "decision digest is now " << printed;
 }
 
 } // namespace
