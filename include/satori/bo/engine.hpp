@@ -96,14 +96,6 @@ class BoEngine
      */
     [[nodiscard]] std::size_t suggestIndex(const std::vector<RealVec>& candidates) const;
 
-    /**
-     * Like suggestIndex(), but subtracting a per-candidate penalty
-     * from the acquisition score (e.g. a reconfiguration cost, in
-     * standardized-objective units). @pre penalties matches size.
-     */
-    [[nodiscard]] std::size_t suggestIndex(const std::vector<RealVec>& candidates,
-                             const std::vector<double>& penalties) const;
-
     /** Posterior prediction at @p x (for diagnostics and figures). */
     [[nodiscard]] GpPrediction predict(const RealVec& x) const;
 
@@ -132,11 +124,6 @@ class BoEngine
     void restoreState(persist::StateReader& r);
 
   private:
-    /** Shared acquisition maximization (penalties may be null). */
-    [[nodiscard]] std::size_t suggestImpl(
-        const std::vector<RealVec>& candidates,
-        const std::vector<double>* penalties) const;
-
     EngineOptions options_;
     GaussianProcess gp_;
     std::size_t fits_since_grid_ = 0;

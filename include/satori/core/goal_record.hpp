@@ -89,7 +89,11 @@ class GoalRecorder
     /** Drop all samples. */
     void clear();
 
-    /** Serialize the retained sample window (checkpoint recovery). */
+    /**
+     * Serialize the retained sample window (checkpoint recovery).
+     * Input vectors are not written: they are a pure function of each
+     * sample's configuration and are recomputed on restore.
+     */
     void saveState(persist::StateWriter& w) const;
 
     /**

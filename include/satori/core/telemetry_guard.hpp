@@ -11,8 +11,8 @@
  *   - rejection of non-finite or non-positive IPS values;
  *   - stale-counter detection (a noisy counter never repeats exactly;
  *     freeze_run identical reads in a row mark the stream stale);
- *   - a Hampel outlier gate (deviation from the rolling median beyond
- *     hampel_threshold scaled-MAD sigmas);
+ *   - a Hampel outlier gate (deviation from the median of the last
+ *     11 accepted values beyond 4 scaled-MAD sigmas);
  *   - last-good-sample substitution, bounded by a staleness budget so
  *     a genuine regime shift is eventually accepted instead of being
  *     filtered forever.
@@ -55,17 +55,6 @@ struct TelemetryGuardOptions
      * interval unusable.
      */
     std::size_t staleness_budget = 5;
-
-    /**
-     * Hampel gate: reject a sample whose deviation from the rolling
-     * median exceeds this many scaled-MAD sigmas (1.4826 * MAD). 4.0
-     * keeps the false-positive rate per clean gaussian sample below
-     * 1e-4.
-     */
-    double hampel_threshold = 4.0;
-
-    /** Rolling window length backing the median/MAD estimates. */
-    std::size_t hampel_window = 11;
 
     /** Identical consecutive reads that mark a counter frozen. */
     std::size_t freeze_run = 3;

@@ -28,9 +28,6 @@ struct TraceRecord
     std::vector<double> speedups;
     double throughput = 0.0; ///< Normalized.
     double fairness = 0.0;
-    double w_t = 0.5; ///< Weights, when the policy exposes them.
-    double w_f = 0.5;
-    bool settled = false;
 
     /**
      * Faults injected during the interval, as the injector's compact

@@ -50,8 +50,12 @@ namespace persist {
  * (max_history, approx, screen) so restore can refuse a mismatched
  * resume.
  * v3: BoEngine::saveState drops those three fields again; the engine
- * has one decision path. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+ * has one decision path.
+ * v4: SatoriController::saveState drops the per-job reference IPS,
+ * the per-job strike count, the CUSUM detector, the exploit step
+ * count and the dwell count; GoalRecorder::saveState drops each
+ * sample's input vector (recomputed from its configuration). */
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /** Assembles one snapshot: named sections, then an atomic install. */
 class SnapshotWriter

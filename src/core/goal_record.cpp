@@ -124,7 +124,6 @@ GoalRecorder::saveState(persist::StateWriter& w) const
     w.putSize(samples_.size());
     for (const auto& s : samples_) {
         persist::putConfiguration(w, s.config);
-        w.putDoubleVec(s.x);
         w.putDoubleVec(s.goals);
     }
 }
@@ -143,7 +142,7 @@ GoalRecorder::restoreState(persist::StateReader& r)
     for (std::size_t i = 0; i < n; ++i) {
         GoalSample s;
         s.config = persist::getConfiguration(r);
-        s.x = r.getDoubleVec();
+        s.x = s.config.normalizedVector();
         s.goals = r.getDoubleVec();
         if (s.goals.size() != num_goals_)
             SATORI_FATAL("goal-record state sample " +

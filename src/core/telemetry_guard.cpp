@@ -16,6 +16,16 @@ namespace {
 /** Consistent gaussian sigma estimate from a MAD (the 1.4826 factor). */
 constexpr double kMadToSigma = 1.4826;
 
+/**
+ * Hampel gate: reject a sample whose deviation from the rolling median
+ * exceeds this many scaled-MAD sigmas. 4.0 keeps the false-positive
+ * rate per clean gaussian sample below 1e-4.
+ */
+constexpr double kHampelThreshold = 4.0;
+
+/** Rolling window length backing the median/MAD estimates. */
+constexpr std::size_t kHampelWindow = 11;
+
 double
 medianOf(std::vector<double> v)
 {
@@ -43,11 +53,11 @@ TelemetryGuard::TelemetryGuard(std::size_t num_jobs,
 void
 TelemetryGuard::accept(JobHistory& h, double value)
 {
-    if (h.window.size() < options_.hampel_window) {
+    if (h.window.size() < kHampelWindow) {
         h.window.push_back(value);
     } else {
         h.window[h.next] = value;
-        h.next = (h.next + 1) % options_.hampel_window;
+        h.next = (h.next + 1) % kHampelWindow;
     }
     h.last_good = value;
     h.has_last_good = true;
@@ -131,7 +141,7 @@ TelemetryGuard::filter(IntervalObservation& obs)
         bool outlier = false;
         if (finite_ok && !frozen && config_stable &&
             h.window.size() >= std::max<std::size_t>(
-                                   5, options_.hampel_window / 2)) {
+                                   5, kHampelWindow / 2)) {
             const double med = medianOf(h.window);
             std::vector<double> dev;
             dev.reserve(h.window.size());
@@ -143,7 +153,7 @@ TelemetryGuard::filter(IntervalObservation& obs)
             const double sigma =
                 std::max(kMadToSigma * mad, 1e-3 * std::abs(med));
             if (std::abs(raw - med) >
-                options_.hampel_threshold * sigma) {
+                kHampelThreshold * sigma) {
                 outlier = true;
                 ++stats_.outliers_gated;
             }

@@ -79,7 +79,7 @@ TraceWriter::write(const TraceRecord& record)
 void
 TraceWriter::writeCsvHeader(const TraceRecord& record)
 {
-    buffer_ += "time,policy,config,throughput,fairness,w_t,w_f,settled";
+    buffer_ += "time,policy,config,throughput,fairness";
     for (std::size_t j = 0; j < record.ips.size(); ++j)
         buffer_ += ",ips_" + std::to_string(j);
     for (std::size_t j = 0; j < record.speedups.size(); ++j)
@@ -92,9 +92,7 @@ TraceWriter::writeCsv(const TraceRecord& record)
 {
     buffer_ += num(record.time) + "," + record.policy + ",\"" +
                record.config.toString() + "\"," +
-               num(record.throughput) + "," + num(record.fairness) +
-               "," + num(record.w_t) + "," + num(record.w_f) + "," +
-               (record.settled ? "1" : "0");
+               num(record.throughput) + "," + num(record.fairness);
     for (double v : record.ips) {
         buffer_ += ",";
         buffer_ += num(v);
@@ -113,10 +111,7 @@ TraceWriter::writeJson(const TraceRecord& record)
                record.policy + "\",\"config\":\"" +
                record.config.toString() +
                "\",\"throughput\":" + num(record.throughput) +
-               ",\"fairness\":" + num(record.fairness) +
-               ",\"w_t\":" + num(record.w_t) +
-               ",\"w_f\":" + num(record.w_f) + ",\"settled\":" +
-               (record.settled ? "true" : "false");
+               ",\"fairness\":" + num(record.fairness);
     buffer_ += ",\"ips\":[";
     for (std::size_t j = 0; j < record.ips.size(); ++j) {
         if (j > 0)

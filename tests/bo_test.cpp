@@ -355,11 +355,6 @@ TEST(EngineIncrementalTest, IncrementalToggleDoesNotChangeSuggestions)
     xs.push_back(randomPoint(rng, 3));
     ys.push_back(rng.gaussian());
     step("append after trim");
-
-    // And the penalty overload agrees with the zero-penalty overload.
-    const std::vector<double> zero(candidates.size(), 0.0);
-    EXPECT_EQ(fast.suggestIndex(candidates),
-              fast.suggestIndex(candidates, zero));
 }
 
 TEST(AcquisitionTest, EiZeroWhenNoImprovementPossible)
@@ -444,18 +439,6 @@ TEST(EngineTest, BestObservedTracksMaximum)
     engine.setSamples({{0.0}, {0.5}, {1.0}}, {1.0, 5.0, 3.0});
     EXPECT_DOUBLE_EQ(engine.bestObserved(), 5.0);
     EXPECT_EQ(engine.numSamples(), 3u);
-}
-
-TEST(EngineTest, PenaltiesShiftSelection)
-{
-    BoEngine engine;
-    engine.setSamples({{0.0}, {1.0}}, {0.0, 0.0});
-    const std::vector<RealVec> candidates{{0.4}, {0.6}};
-    // Symmetric situation; a huge penalty on one candidate must force
-    // the other to win regardless of acquisition values.
-    const std::size_t pick =
-        engine.suggestIndex(candidates, {1e9, 0.0});
-    EXPECT_EQ(pick, 1u);
 }
 
 TEST(EngineTest, SetSamplesReplacesHistory)

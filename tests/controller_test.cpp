@@ -52,9 +52,7 @@ TEST(ControllerTest, AlwaysReturnsValidConfigurations)
 TEST(ControllerTest, WarmupEvaluatesSeedsFirst)
 {
     auto server = makeSmallServer();
-    SatoriOptions o;
-    o.dwell_intervals = 1;
-    SatoriController satori(server.platform(), server.numJobs(), o);
+    SatoriController satori(server.platform(), server.numJobs());
     sim::PerfMonitor monitor(server);
     // The first decision after the initial observation must be the
     // first seed: the equal partition.
@@ -152,21 +150,6 @@ TEST(ControllerTest, ResetForgetsEverything)
     const Configuration next = satori.decide(monitor.observe(0.1));
     EXPECT_TRUE(next == Configuration::equalPartition(
                             server.platform(), server.numJobs()));
-}
-
-TEST(ControllerTest, DwellHoldsDecisions)
-{
-    auto server = makeSmallServer();
-    SatoriOptions o;
-    o.dwell_intervals = 4;
-    SatoriController satori(server.platform(), server.numJobs(), o);
-    sim::PerfMonitor monitor(server);
-    const Configuration first = satori.decide(monitor.observe(0.1));
-    // The next three decisions repeat the same configuration.
-    for (int i = 0; i < 3; ++i) {
-        server.setConfiguration(first);
-        EXPECT_TRUE(satori.decide(monitor.observe(0.1)) == first);
-    }
 }
 
 TEST(ControllerTest, WorksOnRestrictedPlatforms)

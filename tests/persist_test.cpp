@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -19,6 +20,8 @@
 #include "satori/common/io.hpp"
 #include "satori/common/logging.hpp"
 #include "satori/common/rng.hpp"
+#include "satori/config/enumeration.hpp"
+#include "satori/core/goal_record.hpp"
 #include "satori/harness/experiment.hpp"
 #include "satori/harness/scenarios.hpp"
 #include "satori/harness/trace.hpp"
@@ -415,6 +418,38 @@ TEST(StateHooksTest, SatoriControllerStateRoundTripsToIdenticalBytes)
     StateWriter wb;
     policy2->saveState(wb);
     EXPECT_EQ(wa.bytes(), wb.bytes());
+}
+
+TEST(StateHooksTest, GoalRecorderRestoreRecomputesInputsBitwise)
+{
+    // Input vectors are not persisted: restore recomputes each from
+    // its sample's configuration and must reproduce it bit for bit.
+    PlatformSpec p;
+    p.addResource(ResourceKind::Cores, 7);
+    p.addResource(ResourceKind::LlcWays, 11);
+    p.addResource(ResourceKind::MemBandwidth, 10);
+    const ConfigurationSpace space(p, 3);
+    Rng rng(31);
+    core::GoalRecorder a(2, 16);
+    for (int i = 0; i < 20; ++i)
+        a.add(space.sample(rng), {rng.uniform(), rng.uniform()});
+
+    StateWriter w;
+    a.saveState(w);
+    core::GoalRecorder b(2, 16);
+    StateReader r(w.bytes(), "goal-record");
+    b.restoreState(r);
+    r.expectEnd();
+    ASSERT_EQ(b.size(), a.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const RealVec& xa = a.sample(i).x;
+        const RealVec& xb = b.sample(i).x;
+        ASSERT_EQ(xa.size(), xb.size()) << "sample " << i;
+        EXPECT_EQ(std::memcmp(xa.data(), xb.data(),
+                              xa.size() * sizeof(double)),
+                  0)
+            << "sample " << i;
+    }
 }
 
 // --- checkpointer --------------------------------------------------
