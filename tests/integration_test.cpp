@@ -288,5 +288,20 @@ TEST(IntegrationTest, DecisionDigestIsPinned)
     EXPECT_EQ(hash, kPinned) << "decision digest is now " << printed;
 }
 
+TEST(IntegrationTest, BaselineDigestIsPinned)
+{
+    // Every decision of PARTIES, CoPart and dCAT on parsec 5-job mix
+    // 3 for 60 s, hashed like DecisionDigestIsPinned, which runs none
+    // of these three policies.
+    constexpr std::uint64_t kPinned = 0x96f85f1d9751ff4dULL;
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    digestRun("PARTIES", false, hash);
+    digestRun("CoPart", false, hash);
+    digestRun("dCAT", false, hash);
+    char printed[32];
+    std::snprintf(printed, sizeof printed, "0x%016" PRIx64 "ULL", hash);
+    EXPECT_EQ(hash, kPinned) << "baseline digest is now " << printed;
+}
+
 } // namespace
 } // namespace satori
