@@ -164,9 +164,7 @@ runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats)
         double best_score = -1e300;
         for (std::size_t c = 0; c < candidates.size(); ++c) {
             const auto pred = engine.predict(candidates[c]);
-            const double score = bo::acquisition(
-                engine.options().acquisition, pred, best,
-                engine.options().xi, engine.options().ucb_beta);
+            const double score = bo::expectedImprovement(pred, best);
             if (score > best_score) {
                 best_score = score;
                 pick = c;

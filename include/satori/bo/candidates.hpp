@@ -24,12 +24,12 @@
 namespace satori {
 namespace bo {
 
-/** Candidate-generation knobs. */
+/**
+ * Candidate-generation knobs. Every round draws 256 uniform random
+ * candidates (a constant of candidates.cpp).
+ */
 struct CandidateOptions
 {
-    /** Uniform random candidates per round. */
-    std::size_t num_random = 256;
-
     /** Include the structured "good" seed configurations. */
     bool include_seeds = true;
 

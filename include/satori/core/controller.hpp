@@ -58,13 +58,10 @@ struct ResilienceOptions
     /**
      * Degraded mode: after this many consecutive unusable telemetry
      * intervals, fall back to the equal partition and freeze all GP /
-     * weight / goal-record updates until samples turn healthy again.
-     * 0 disables the fallback.
+     * weight / goal-record updates until 3 consecutive healthy
+     * intervals end it. 0 disables the fallback.
      */
     std::size_t degraded_after = 10;
-
-    /** Consecutive healthy intervals that end degraded mode. */
-    std::size_t recover_after = 3;
 
     /** Everything off: the paper's original (vanilla) controller. */
     [[nodiscard]] static ResilienceOptions vanilla()
@@ -86,7 +83,7 @@ struct ResilienceOptions
 struct SatoriOptions
 {
     GoalMode mode = GoalMode::Balanced;
-    WeightController::Options weights;
+    WeightOptions weights;
     bo::EngineOptions engine;
     bo::CandidateOptions candidates;
     ObjectiveSpec objective;

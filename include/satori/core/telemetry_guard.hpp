@@ -10,12 +10,12 @@
  *
  *   - rejection of non-finite or non-positive IPS values;
  *   - stale-counter detection (a noisy counter never repeats exactly;
- *     freeze_run identical reads in a row mark the stream stale);
+ *     3 identical reads in a row mark the stream stale);
  *   - a Hampel outlier gate (deviation from the median of the last
  *     11 accepted values beyond 4 scaled-MAD sigmas);
- *   - last-good-sample substitution, bounded by a staleness budget so
- *     a genuine regime shift is eventually accepted instead of being
- *     filtered forever.
+ *   - last-good-sample substitution, bounded by a staleness budget of
+ *     5 consecutive bad samples so a genuine regime shift is
+ *     eventually accepted instead of being filtered forever.
  *
  * Size-mismatched observations (wrong job count) are rejected
  * outright. The guard reports each interval as Healthy, Repaired
@@ -47,17 +47,6 @@ struct TelemetryGuardOptions
 {
     /** Master switch; off reproduces the unguarded (vanilla) path. */
     bool enabled = true;
-
-    /**
-     * Consecutive bad samples of one job repaired by last-good
-     * substitution before the guard stops repairing: a finite value
-     * is then accepted as a regime shift, a non-finite one marks the
-     * interval unusable.
-     */
-    std::size_t staleness_budget = 5;
-
-    /** Identical consecutive reads that mark a counter frozen. */
-    std::size_t freeze_run = 3;
 };
 
 /** Per-interval verdict of the guard. */

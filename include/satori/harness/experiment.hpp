@@ -2,7 +2,7 @@
  * @file
  * The experiment runner: drives a (server, policy) pair through the
  * paper's measurement loop - 100 ms controller intervals, isolation
- * baselines re-recorded every reset period (Algorithm 1 line 12) -
+ * baselines re-recorded every 10 s (Algorithm 1 line 12) -
  * and aggregates throughput/fairness statistics.
  */
 
@@ -37,9 +37,6 @@ struct ExperimentOptions
 
     /** Controller interval (the paper's 0.1 s). */
     Seconds dt = kDefaultIntervalSeconds;
-
-    /** Isolation-baseline re-record period (paper: T_E = 10 s). */
-    Seconds baseline_reset_period = 10.0;
 
     /** Initial span excluded from aggregates (controller warm-up). */
     Seconds warmup = 2.0;

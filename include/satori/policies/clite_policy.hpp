@@ -21,44 +21,16 @@
 #include "satori/bo/engine.hpp"
 #include "satori/common/rng.hpp"
 #include "satori/config/enumeration.hpp"
-#include "satori/metrics/metrics.hpp"
 #include "satori/policies/policy.hpp"
 
 namespace satori {
 namespace policies {
 
-/** CLITE tuning knobs. */
-struct CliteOptions
-{
-    /** Static weights of the combined objective. */
-    double w_t = 0.5;
-    double w_f = 0.5;
-
-    /** Random configurations evaluated before BO starts. */
-    std::size_t init_samples = 8;
-
-    /** Samples retained for the GP. */
-    std::size_t window = 120;
-
-    /** Iterations without improvement before holding the best. */
-    std::size_t stall_intervals = 12;
-
-    /** Objective-drop fraction that resumes sampling. */
-    double reactivate_threshold = 0.08;
-
-    /** RNG seed. */
-    std::uint64_t seed = 19;
-
-    ThroughputMetric tmetric = ThroughputMetric::SumIps;
-    FairnessMetric fmetric = FairnessMetric::JainIndex;
-};
-
 /** Traditional single-objective BO partitioner (CLITE-adapted). */
 class ClitePolicy final : public PartitioningPolicy
 {
   public:
-    ClitePolicy(const PlatformSpec& platform, std::size_t num_jobs,
-                CliteOptions options = {});
+    ClitePolicy(const PlatformSpec& platform, std::size_t num_jobs);
 
     [[nodiscard]] std::string name() const override { return "CLITE"; }
     Configuration decide(const sim::IntervalObservation& obs) override;
@@ -70,7 +42,6 @@ class ClitePolicy final : public PartitioningPolicy
   private:
     [[nodiscard]] double objective(const sim::IntervalObservation& obs) const;
 
-    CliteOptions options_;
     ConfigurationSpace space_;
     bo::CandidateGenerator candgen_;
     bo::BoEngine engine_;

@@ -40,7 +40,7 @@ class OraclePolicy final : public PartitioningPolicy
      * @param options Search knobs (stride cap, metrics).
      */
     OraclePolicy(const sim::SimulatedServer& server, OracleKind kind,
-                 harness::OfflineEvaluator::Options options = {});
+                 harness::OfflineEvalOptions options = {});
 
     [[nodiscard]] std::string name() const override;
     Configuration decide(const sim::IntervalObservation& obs) override;

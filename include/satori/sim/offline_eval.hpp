@@ -56,12 +56,9 @@ struct OfflineEvalOptions
 class OfflineEvaluator
 {
   public:
-    /** Kept for source compatibility with nested-options style. */
-    using Options = OfflineEvalOptions;
-
     /** Attach to a server (read-only; never mutates it). */
     explicit OfflineEvaluator(const SimulatedServer& server,
-                              Options options = {});
+                              OfflineEvalOptions options = {});
 
     /**
      * Normalized (throughput, fairness) of @p config with jobs pinned
@@ -93,7 +90,7 @@ class OfflineEvaluator
         const std::vector<std::size_t>& phase_signature) const;
 
     const SimulatedServer& server_;
-    Options options_;
+    OfflineEvalOptions options_;
     ConfigurationSpace space_;
 
     using MemoKey = std::pair<std::vector<std::size_t>,

@@ -31,7 +31,10 @@ class StateReader;
 
 namespace sim {
 
-/** Simulator construction knobs. */
+/**
+ * Simulator construction knobs. The per-resource reconfiguration
+ * transient (cost per unit moved, cap, decay) is fixed in server.cpp.
+ */
 struct ServerOptions
 {
     /** RNG seed; fully determines the run. */
@@ -43,22 +46,6 @@ struct ServerOptions
      * from unpartitioned structures such as SMT and the ring).
      */
     double noise_sigma = 0.04;
-
-    /**
-     * Transient IPS loss per unit of allocation change, by resource
-     * kind: re-pinning threads evicts private-cache state, CAT way
-     * remaps must re-warm the LLC, MBA reprogramming is just an MSR
-     * write. The penalty decays geometrically across intervals.
-     */
-    double reconfig_cost_cores = 0.06;
-    double reconfig_cost_ways = 0.03;
-    double reconfig_cost_bw = 0.005;
-
-    /** Cap on the per-interval transient loss fraction. */
-    double reconfig_cost_cap = 0.35;
-
-    /** Geometric per-interval decay of the transient. */
-    double reconfig_decay = 0.35;
 };
 
 /** A partitionable multi-core server executing co-located jobs. */

@@ -47,6 +47,9 @@ constexpr std::size_t kReactivateKeepSamples = 30;
  */
 constexpr std::size_t kBurstMaxIntervals = 20;
 
+/** Consecutive healthy intervals that end degraded mode. */
+constexpr std::size_t kRecoverAfter = 3;
+
 } // namespace
 
 std::string
@@ -192,7 +195,7 @@ SatoriController::decide(const IntervalObservation& raw_obs)
     // recovers; then re-explore from trimmed records, exactly like a
     // reactivation.
     if (degraded_) {
-        if (healthy_streak_ >= options_.resilience.recover_after) {
+        if (healthy_streak_ >= kRecoverAfter) {
             degraded_ = false;
             restartExploration();
         } else {

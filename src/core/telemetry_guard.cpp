@@ -26,6 +26,17 @@ constexpr double kHampelThreshold = 4.0;
 /** Rolling window length backing the median/MAD estimates. */
 constexpr std::size_t kHampelWindow = 11;
 
+/** Identical consecutive reads that mark a counter frozen. */
+constexpr std::size_t kFreezeRun = 3;
+
+/**
+ * Consecutive bad samples of one job repaired by last-good
+ * substitution before the guard stops repairing: a finite value is
+ * then accepted as a regime shift, a non-finite one marks the
+ * interval unusable.
+ */
+constexpr std::size_t kStalenessBudget = 5;
+
 double
 medianOf(std::vector<double> v)
 {
@@ -122,8 +133,7 @@ TelemetryGuard::filter(IntervalObservation& obs)
         // Exact repeat is the point: freeze detection wants bitwise
         // equality, not closeness. satori-analyzer: allow(num-float-eq)
         if (h.has_last_raw && raw == h.last_raw) {
-            if (++h.freeze_count + 1 >= options_.freeze_run &&
-                options_.freeze_run > 0) {
+            if (++h.freeze_count + 1 >= kFreezeRun) {
                 frozen = true;
                 ++stats_.frozen_detected;
             }
@@ -167,7 +177,7 @@ TelemetryGuard::filter(IntervalObservation& obs)
         // Bad sample: substitute the last good value while the
         // staleness budget lasts.
         ++h.bad_streak;
-        if (h.bad_streak <= options_.staleness_budget &&
+        if (h.bad_streak <= kStalenessBudget &&
             h.has_last_good) {
             obs.ips[j] = h.last_good;
             ++stats_.repaired_values;

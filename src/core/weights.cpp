@@ -9,15 +9,26 @@
 namespace satori {
 namespace core {
 
-WeightController::WeightController(Options options)
+namespace {
+
+/** Controller interval the periods are counted in. */
+constexpr Seconds kDt = kDefaultIntervalSeconds;
+
+/** Weight bounds (Sec. III-C: 0.25 and 0.75). */
+constexpr double kWMin = 0.25;
+constexpr double kWMax = 0.75;
+
+static_assert(kDt > 0.0);
+static_assert(kWMin >= 0.0 && kWMax <= 1.0 && kWMin < kWMax);
+
+} // namespace
+
+WeightController::WeightController(WeightOptions options)
     : options_(options)
 {
-    SATORI_ASSERT(options_.dt > 0.0);
-    SATORI_ASSERT(options_.prioritization_period >= options_.dt);
+    SATORI_ASSERT(options_.prioritization_period >= kDt);
     SATORI_ASSERT(options_.equalization_period >=
                   options_.prioritization_period);
-    SATORI_ASSERT(options_.w_min >= 0.0 && options_.w_max <= 1.0 &&
-                  options_.w_min < options_.w_max);
 }
 
 WeightComponents
@@ -26,9 +37,9 @@ WeightController::update(double throughput, double fairness)
     WeightComponents out;
 
     const auto tp_iters = static_cast<std::size_t>(
-        std::llround(options_.prioritization_period / options_.dt));
+        std::llround(options_.prioritization_period / kDt));
     const auto te_iters = static_cast<std::size_t>(
-        std::llround(options_.equalization_period / options_.dt));
+        std::llround(options_.equalization_period / kDt));
 
     // --- Prioritization component (Eq. 4) -------------------------------
     if (period_start_throughput_ < 0.0) {
@@ -81,7 +92,7 @@ WeightController::update(double throughput, double fairness)
                         static_cast<double>(te_iters);
     out.blend = frac;
     double w_t = frac * out.w_te + (1.0 - frac) * out.w_tp;
-    w_t = clamp(w_t, options_.w_min, options_.w_max);
+    w_t = clamp(w_t, kWMin, kWMax);
     out.w_t = w_t;
     out.w_f = 1.0 - w_t;
 

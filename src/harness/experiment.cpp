@@ -13,6 +13,9 @@ namespace harness {
 
 namespace {
 
+/** Isolation-baseline re-record period (paper: T_E = 10 s). */
+constexpr Seconds kBaselineResetPeriod = 10.0;
+
 /** Bitwise double equality (recovery verification wants exactness). */
 bool
 bitEqual(double a, double b)
@@ -243,7 +246,7 @@ ExperimentRunner::run(sim::SimulatedServer& server,
             static_cast<std::uint64_t>(step), obs.time, obs.ips, t_norm,
             f_norm));
 
-        if (obs.time - last_reset >= options_.baseline_reset_period) {
+        if (obs.time - last_reset >= kBaselineResetPeriod) {
             monitor.resetBaseline();
             last_reset = obs.time;
         }

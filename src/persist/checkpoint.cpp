@@ -19,6 +19,9 @@ constexpr std::uint32_t kManifestVersion = 1;
 constexpr const char* kManifestName = "MANIFEST";
 constexpr const char* kWalName = "wal.bin";
 
+/** Snapshots retained after pruning. */
+constexpr std::size_t kKeepSnapshots = 2;
+
 [[nodiscard]] std::string
 encodeManifest(const std::string& fingerprint)
 {
@@ -211,10 +214,10 @@ Checkpointer::pruneSnapshots() const
             continue;
         steps.push_back(std::strtoull(digits.c_str(), nullptr, 10));
     }
-    if (steps.size() <= options_.keep_snapshots)
+    if (steps.size() <= kKeepSnapshots)
         return;
     std::sort(steps.begin(), steps.end());
-    const std::size_t drop = steps.size() - options_.keep_snapshots;
+    const std::size_t drop = steps.size() - kKeepSnapshots;
     for (std::size_t i = 0; i < drop; ++i)
         std::filesystem::remove(snapshotPath(steps[i]), ec);
 }

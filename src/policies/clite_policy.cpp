@@ -3,13 +3,37 @@
 #include <algorithm>
 
 #include "satori/common/logging.hpp"
+#include "satori/metrics/metrics.hpp"
 
 namespace satori {
 namespace policies {
 
+namespace {
+
+/** Static equal weights of the combined objective. */
+constexpr double kWeightThroughput = 0.5;
+constexpr double kWeightFairness = 0.5;
+
+/** Random configurations evaluated before BO starts. */
+constexpr std::size_t kInitSamples = 8;
+
+/** Samples retained for the GP. */
+constexpr std::size_t kWindow = 120;
+
+/** Iterations without improvement before holding the best. */
+constexpr std::size_t kStallIntervals = 12;
+
+/** Objective-drop fraction that resumes sampling. */
+constexpr double kReactivateThreshold = 0.08;
+
+/** RNG seed. */
+constexpr std::uint64_t kSeed = 19;
+
+} // namespace
+
 ClitePolicy::ClitePolicy(const PlatformSpec& platform,
-                         std::size_t num_jobs, CliteOptions options)
-    : options_(options), space_(platform, num_jobs),
+                         std::size_t num_jobs)
+    : space_(platform, num_jobs),
       candgen_(space_,
                [] {
                    bo::CandidateOptions c;
@@ -19,18 +43,18 @@ ClitePolicy::ClitePolicy(const PlatformSpec& platform,
                    c.include_concentrated = false;
                    return c;
                }()),
-      rng_(options.seed), init_left_(options.init_samples)
+      rng_(kSeed), init_left_(kInitSamples)
 {
 }
 
 double
 ClitePolicy::objective(const sim::IntervalObservation& obs) const
 {
-    const double t = normalizedThroughput(options_.tmetric, obs.ips,
-                                          obs.isolation_ips);
+    const double t = normalizedThroughput(ThroughputMetric::SumIps,
+                                          obs.ips, obs.isolation_ips);
     const double f = normalizedFairness(
-        options_.fmetric, speedups(obs.ips, obs.isolation_ips));
-    return options_.w_t * t + options_.w_f * f;
+        FairnessMetric::JainIndex, speedups(obs.ips, obs.isolation_ips));
+    return kWeightThroughput * t + kWeightFairness * f;
 }
 
 Configuration
@@ -42,7 +66,7 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
     configs_.push_back(obs.config);
     xs_.push_back(obs.config.normalizedVector());
     ys_.push_back(y);
-    if (xs_.size() > options_.window) {
+    if (xs_.size() > kWindow) {
         configs_.erase(configs_.begin());
         xs_.erase(xs_.begin());
         ys_.erase(ys_.begin());
@@ -54,7 +78,7 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
             if (obs.config == hold_config_)
                 hold_reference_ = y;
         } else if (y < hold_reference_ *
-                           (1.0 - options_.reactivate_threshold)) {
+                           (1.0 - kReactivateThreshold)) {
             if (++strikes_ >= 2) {
                 holding_ = false;
                 strikes_ = 0;
@@ -85,7 +109,7 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
 
     engine_.setSamples(xs_, ys_);
 
-    if (stall_ >= options_.stall_intervals) {
+    if (stall_ >= kStallIntervals) {
         // Hold the best *observed* configuration (CLITE's decision
         // once sampling stops).
         std::size_t best_i = 0;
@@ -116,14 +140,14 @@ ClitePolicy::reset()
     configs_.clear();
     xs_.clear();
     ys_.clear();
-    init_left_ = options_.init_samples;
+    init_left_ = kInitSamples;
     best_seen_ = -1.0;
     stall_ = 0;
     holding_ = false;
     hold_reference_ = -1.0;
     strikes_ = 0;
     engine_ = bo::BoEngine();
-    rng_ = Rng(options_.seed);
+    rng_ = Rng(kSeed);
 }
 
 } // namespace policies

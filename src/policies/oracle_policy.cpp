@@ -21,7 +21,7 @@ oracleKindName(OracleKind kind)
 
 OraclePolicy::OraclePolicy(const sim::SimulatedServer& server,
                            OracleKind kind,
-                           harness::OfflineEvaluator::Options options)
+                           harness::OfflineEvalOptions options)
     : server_(server), kind_(kind),
       evaluator_(std::make_unique<harness::OfflineEvaluator>(server,
                                                              options))

@@ -17,7 +17,7 @@ struct OfflineEvaluator::IpsTables
 };
 
 OfflineEvaluator::OfflineEvaluator(const SimulatedServer& server,
-                                   Options options)
+                                   OfflineEvalOptions options)
     : server_(server), options_(options),
       space_(server.platform(), server.numJobs())
 {

@@ -94,29 +94,6 @@ TEST(ApiTest, LoaderWorkloadsDriveTheSimulator)
     EXPECT_GT(result.mean_fairness, 0.0);
 }
 
-TEST(ApiTest, AcquisitionVariantsRunInsideTheController)
-{
-    PlatformSpec p;
-    p.addResource(ResourceKind::Cores, 6);
-    p.addResource(ResourceKind::LlcWays, 6);
-    const auto mix = workloads::mixOf({"canneal", "swaptions"});
-    for (const auto kind :
-         {bo::AcquisitionKind::ExpectedImprovement,
-          bo::AcquisitionKind::Ucb,
-          bo::AcquisitionKind::ProbabilityOfImprovement}) {
-        auto server = harness::makeServer(p, mix, 23);
-        core::SatoriOptions opt;
-        opt.engine.acquisition = kind;
-        core::SatoriController satori(p, 2, opt);
-        sim::PerfMonitor monitor(server);
-        for (int i = 0; i < 60; ++i) {
-            const auto next = satori.decide(monitor.observe(0.1));
-            ASSERT_TRUE(next.isValidFor(p, 2));
-            server.setConfiguration(next);
-        }
-    }
-}
-
 TEST(ApiTest, TraceBackedComparisonPipeline)
 {
     PlatformSpec p;

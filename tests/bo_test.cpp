@@ -383,35 +383,6 @@ TEST(AcquisitionTest, EiPrefersHigherMeanAtEqualUncertainty)
               expectedImprovement(lo, 0.5));
 }
 
-TEST(AcquisitionTest, ProbabilityOfImprovementBounds)
-{
-    GpPrediction p;
-    p.mean = 1.0;
-    p.variance = 0.04;
-    // Far above the incumbent: PI near 1; far below: near 0.
-    EXPECT_GT(probabilityOfImprovement(p, 0.0), 0.99);
-    EXPECT_LT(probabilityOfImprovement(p, 2.0), 0.01);
-    // Deterministic prediction collapses to an indicator.
-    p.variance = 0.0;
-    EXPECT_DOUBLE_EQ(probabilityOfImprovement(p, 0.5), 1.0);
-    EXPECT_DOUBLE_EQ(probabilityOfImprovement(p, 1.5), 0.0);
-    p.variance = 1.0;
-    EXPECT_DOUBLE_EQ(
-        acquisition(AcquisitionKind::ProbabilityOfImprovement, p, 1.0,
-                    0.0, 2.0),
-        0.5);
-}
-
-TEST(AcquisitionTest, UcbCombinesMeanAndSpread)
-{
-    GpPrediction p;
-    p.mean = 1.0;
-    p.variance = 4.0;
-    EXPECT_DOUBLE_EQ(upperConfidenceBound(p, 2.0), 5.0);
-    EXPECT_DOUBLE_EQ(
-        acquisition(AcquisitionKind::Ucb, p, 0.0, 0.01, 2.0), 5.0);
-}
-
 TEST(EngineTest, SuggestsNearMaximumOfSimpleFunction)
 {
     // f(x) = -(x - 0.7)^2: after a handful of samples the engine
@@ -467,9 +438,7 @@ TEST(CandidatesTest, GenerateIsDeduplicatedAndValid)
 {
     const PlatformSpec p = PlatformSpec::paperTestbed();
     ConfigurationSpace space(p, 5);
-    CandidateOptions opt;
-    opt.num_random = 64;
-    CandidateGenerator gen(space, opt);
+    CandidateGenerator gen(space);
     Rng rng(3);
     const Configuration incumbent = Configuration::equalPartition(p, 5);
     const auto cands = gen.generate(incumbent, rng);
@@ -489,12 +458,10 @@ TEST(CandidatesTest, GenerateReplaysExactlyAcrossInstances)
     // generators with identically seeded Rngs produce identical lists.
     const PlatformSpec p = PlatformSpec::paperTestbed();
     ConfigurationSpace space(p, 5);
-    CandidateOptions opt;
-    opt.num_random = 64;
     const Configuration incumbent = Configuration::equalPartition(p, 5);
 
-    CandidateGenerator gen_a(space, opt);
-    CandidateGenerator gen_b(space, opt);
+    CandidateGenerator gen_a(space);
+    CandidateGenerator gen_b(space);
     Rng rng_a(17);
     Rng rng_b(17);
     const auto cands_a = gen_a.generate(incumbent, rng_a);

@@ -78,17 +78,6 @@ TEST(CalibrationTest, ThroughputAndFairnessOptimaConflict)
     EXPECT_LT(f_opt.throughput, 0.92 * t_opt.throughput);
 }
 
-TEST(CalibrationTest, ReconfigurationCostOrderingByResource)
-{
-    // Moving a core must cost more than moving a cache way, which
-    // must cost more than reprogramming a bandwidth cap.
-    const sim::ServerOptions opt;
-    EXPECT_GT(opt.reconfig_cost_cores, opt.reconfig_cost_ways);
-    EXPECT_GT(opt.reconfig_cost_ways, opt.reconfig_cost_bw);
-    EXPECT_GT(opt.reconfig_decay, 0.0);
-    EXPECT_LT(opt.reconfig_decay, 1.0);
-}
-
 TEST(CalibrationTest, EqualPartitionIsNotOptimal)
 {
     // If the equal partition were optimal there would be nothing to

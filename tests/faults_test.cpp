@@ -435,9 +435,7 @@ TEST(FaultResilienceTest, DegradedModeEngagesAndRecovers)
     sim::SimulatedServer server =
         harness::makeServer(testPlatform(), mix, 11);
     core::SatoriOptions options;
-    options.resilience.guard.staleness_budget = 3;
     options.resilience.degraded_after = 5;
-    options.resilience.recover_after = 3;
     auto policy = harness::makePolicy("SATORI", server, options);
     auto* satori =
         dynamic_cast<core::SatoriController*>(policy.get());

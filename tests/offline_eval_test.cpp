@@ -104,7 +104,7 @@ TEST(OfflineEvalTest, MemoizationAvoidsRepeatSearches)
 TEST(OfflineEvalTest, StridedSearchFlagsNonExhaustive)
 {
     auto server = makeTinyServer();
-    OfflineEvaluator::Options opt;
+    OfflineEvalOptions opt;
     opt.max_evals = 3; // force striding on the tiny space
     OfflineEvaluator eval(server, opt);
     const std::vector<std::size_t> sig(server.numJobs(), 0);

@@ -132,13 +132,12 @@ TEST(TelemetryGuardTest, ReconfigurationJumpIsNotGated)
 
 TEST(TelemetryGuardTest, FrozenCounterDetectedAfterRun)
 {
-    TelemetryGuardOptions options; // freeze_run = 3
-    TelemetryGuard guard(2, options);
+    TelemetryGuard guard(2);
     Seconds t = 0.1;
     warmUp(guard, 6, t);
 
-    // Deliver the bit-identical value repeatedly; by the freeze_run-th
-    // repeat the stream must be marked stale and substituted.
+    // Deliver the bit-identical value repeatedly; by the third
+    // identical read the stream must be marked stale and substituted.
     bool frozen_seen = false;
     for (int i = 0; i < 5; ++i) {
         auto obs = makeObs(1.2345678, 1.0, t);
@@ -167,23 +166,22 @@ TEST(TelemetryGuardTest, SizeMismatchIsUnusableButKeepsShape)
 
 TEST(TelemetryGuardTest, PersistentShiftAcceptedAfterBudget)
 {
-    TelemetryGuardOptions options;
-    options.staleness_budget = 3;
-    TelemetryGuard guard(2, options);
+    TelemetryGuard guard(2);
     Seconds t = 0.1;
     warmUp(guard, 10, t);
 
     // A genuine regime shift: the level really moved to ~5.0. The
-    // guard substitutes for `staleness_budget` intervals, then must
-    // accept the new level instead of filtering it forever.
+    // guard substitutes for its staleness budget of 5 intervals, then
+    // must accept the new level instead of filtering it forever.
     double delivered = 0.0;
-    for (int i = 0; i < 6; ++i) {
+    for (int i = 0; i < 8; ++i) {
         // Both jobs keep wobbling (a bit-identical repeat would look
         // like a frozen counter, which is a different code path).
         const double wobble = 0.01 * static_cast<double>(i % 3);
         auto obs = makeObs(5.0 + wobble, 1.0 - wobble, t);
         guard.filter(obs);
         delivered = obs.ips[0];
+        EXPECT_NEAR(delivered, i < 5 ? 1.0 : 5.0, 0.1) << "sample " << i;
         t += 0.1;
     }
     EXPECT_NEAR(delivered, 5.0, 0.1);
@@ -196,17 +194,19 @@ TEST(TelemetryGuardTest, PersistentShiftAcceptedAfterBudget)
 
 TEST(TelemetryGuardTest, NonFinitePastBudgetIsUnusable)
 {
-    TelemetryGuardOptions options;
-    options.staleness_budget = 2;
-    TelemetryGuard guard(2, options);
+    TelemetryGuard guard(2);
     Seconds t = 0.1;
     warmUp(guard, 6, t);
 
+    // Five NaNs are repaired within the budget; the next two are not.
     SampleHealth last = SampleHealth::Healthy;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < 7; ++i) {
         auto obs =
             makeObs(std::numeric_limits<double>::quiet_NaN(), 1.0, t);
         last = guard.filter(obs);
+        EXPECT_EQ(last, i < 5 ? SampleHealth::Repaired
+                              : SampleHealth::Unusable)
+            << "NaN " << i;
         // Whatever the verdict, the delivered vector stays finite.
         EXPECT_TRUE(std::isfinite(obs.ips[0]));
         t += 0.1;

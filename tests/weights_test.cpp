@@ -15,19 +15,9 @@ namespace satori {
 namespace core {
 namespace {
 
-WeightOptions
-fastOptions()
-{
-    WeightOptions o;
-    o.prioritization_period = 1.0;
-    o.equalization_period = 10.0;
-    o.dt = 0.1;
-    return o;
-}
-
 TEST(WeightsTest, StartsNeutral)
 {
-    WeightController wc(fastOptions());
+    WeightController wc;
     const auto w = wc.update(0.5, 0.9);
     EXPECT_NEAR(w.w_t, 0.5, 1e-9);
     EXPECT_NEAR(w.w_f, 0.5, 1e-9);
@@ -35,7 +25,7 @@ TEST(WeightsTest, StartsNeutral)
 
 TEST(WeightsTest, WeightsAlwaysSumToOne)
 {
-    WeightController wc(fastOptions());
+    WeightController wc;
     Rng rng(5);
     for (int i = 0; i < 500; ++i) {
         const auto w = wc.update(rng.uniform(), rng.uniform());
@@ -50,7 +40,7 @@ class WeightBoundsProperty : public ::testing::TestWithParam<int>
 
 TEST_P(WeightBoundsProperty, BoundedByQuarterAndThreeQuarters)
 {
-    WeightController wc(fastOptions());
+    WeightController wc;
     Rng rng(static_cast<std::uint64_t>(GetParam()));
     for (int i = 0; i < 1000; ++i) {
         const auto w = wc.update(rng.uniform(0.1, 0.9),
@@ -69,7 +59,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WeightBoundsProperty,
 
 TEST(WeightsTest, MeanWeightIsHalfOverEqualizationPeriod)
 {
-    WeightController wc(fastOptions());
+    WeightController wc;
     Rng rng(9);
     // Run several full equalization periods with erratic goals and
     // verify the controller reports a ~0.5 mean each period.
@@ -83,7 +73,7 @@ TEST(WeightsTest, MeanWeightIsHalfOverEqualizationPeriod)
 
 TEST(WeightsTest, EqualizationBoundaryFlagFires)
 {
-    WeightController wc(fastOptions());
+    WeightController wc;
     int boundaries = 0;
     for (int i = 0; i < 300; ++i)
         boundaries += wc.update(0.5, 0.5).equalization_boundary;
@@ -92,7 +82,7 @@ TEST(WeightsTest, EqualizationBoundaryFlagFires)
 
 TEST(WeightsTest, PrioritizationBoundaryEveryTenIterations)
 {
-    WeightController wc(fastOptions());
+    WeightController wc;
     int boundaries = 0;
     for (int i = 0; i < 100; ++i)
         boundaries += wc.update(0.5, 0.5).prioritization_boundary;
@@ -103,8 +93,7 @@ TEST(WeightsTest, FairnessImprovementShiftsPriorityToThroughput)
 {
     // Eq. 4: if fairness improved during the last period, throughput
     // gets the next opportunity (higher W_TP).
-    WeightOptions o = fastOptions();
-    WeightController wc(o);
+    WeightController wc;
     // Fairness rises sharply within the first prioritization period;
     // throughput is flat.
     WeightComponents w;
@@ -116,7 +105,7 @@ TEST(WeightsTest, FairnessImprovementShiftsPriorityToThroughput)
 
 TEST(WeightsTest, ThroughputImprovementShiftsPriorityToFairness)
 {
-    WeightController wc(fastOptions());
+    WeightController wc;
     WeightComponents w;
     for (int i = 0; i < 11; ++i)
         w = wc.update(0.4 + 0.03 * i, 0.9);
@@ -126,7 +115,7 @@ TEST(WeightsTest, ThroughputImprovementShiftsPriorityToFairness)
 
 TEST(WeightsTest, FavorStrongerAlternativeFlipsEq4)
 {
-    WeightOptions o = fastOptions();
+    WeightOptions o;
     o.favor_weaker_goal = false; // the ~5%-worse design alternative
     WeightController wc(o);
     WeightComponents w;
@@ -138,7 +127,7 @@ TEST(WeightsTest, FavorStrongerAlternativeFlipsEq4)
 
 TEST(WeightsTest, FlatGoalsKeepNeutralPriorities)
 {
-    WeightController wc(fastOptions());
+    WeightController wc;
     WeightComponents w;
     for (int i = 0; i < 50; ++i)
         w = wc.update(0.6, 0.8);
@@ -151,20 +140,21 @@ TEST(WeightsTest, EqualizationComponentCountersImbalance)
 {
     // Force throughput-heavy weights early in the period, then check
     // the equalization component pushes back below 0.5.
-    WeightController wc(fastOptions());
+    WeightController wc;
     WeightComponents w;
     // Throughput keeps being prioritized because fairness improves.
     for (int i = 0; i < 60; ++i)
         w = wc.update(0.5, 0.4 + 0.005 * i);
     // Blend factor has grown; equalization fairness weight must now
     // exceed the throughput one if throughput was favored so far.
-    if (w.w_t > 0.5)
+    if (w.w_t > 0.5) {
         EXPECT_LT(w.w_te, 0.5);
+    }
 }
 
 TEST(WeightsTest, ResetPeriodsForgetsHistory)
 {
-    WeightController wc(fastOptions());
+    WeightController wc;
     for (int i = 0; i < 55; ++i)
         wc.update(0.3, 0.9);
     wc.resetPeriods();
@@ -175,10 +165,10 @@ TEST(WeightsTest, ResetPeriodsForgetsHistory)
 
 TEST(WeightsTest, InvalidOptionsRejected)
 {
-    WeightOptions bad = fastOptions();
+    WeightOptions bad;
     bad.prioritization_period = 0.01; // below dt
     EXPECT_THROW(WeightController{bad}, PanicError);
-    WeightOptions bad2 = fastOptions();
+    WeightOptions bad2;
     bad2.equalization_period = 0.5; // below T_P
     EXPECT_THROW(WeightController{bad2}, PanicError);
 }
