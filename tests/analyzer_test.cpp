@@ -64,7 +64,6 @@ const RuleFixture kRuleFixtures[] = {
     {"det-pointer-hash", "det_pointer_hash_bad.cpp",
      "det_pointer_hash_good.cpp"},
     {"num-float-eq", "num_float_eq_bad.cpp", "num_float_eq_good.cpp"},
-    {"num-c-cast", "num_c_cast_bad.cpp", "num_c_cast_good.cpp"},
     {"num-int-abs", "num_int_abs_bad.cpp", "num_int_abs_good.cpp"},
     {"api-nodiscard", "api_nodiscard_bad.hpp", "api_nodiscard_good.hpp"},
     {"api-explicit", "api_explicit_bad.hpp", "api_explicit_good.hpp"},
@@ -82,8 +81,6 @@ const RuleFixture kRuleFixtures[] = {
      "conc_unannotated_mutex_good.hpp"},
     {"flow-use-after-move", "flow_use_after_move_bad.cpp",
      "flow_use_after_move_good.cpp"},
-    {"flow-discarded-nodiscard", "flow_nodiscard_bad.cpp",
-     "flow_nodiscard_good.cpp"},
     {"flow-dead-after-fatal", "flow_dead_fatal_bad.cpp",
      "flow_dead_fatal_good.cpp"},
     {"persist-asymmetric-state", "persist_asym_bad.cpp",

@@ -159,8 +159,9 @@ TEST(CompositionSpaceTest, EnumerationIsLexicographicAndComplete)
             sum += v;
         }
         EXPECT_EQ(sum, 5);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(all[i - 1], all[i]);
+        }
     }
     EXPECT_EQ(all.front(), (std::vector<int>{1, 1, 3}));
     EXPECT_EQ(all.back(), (std::vector<int>{3, 1, 1}));

@@ -82,8 +82,9 @@ TEST(ControllerTest, SettlingStopsProxyUpdates)
     sim::PerfMonitor monitor(server);
     for (int i = 0; i < 300; ++i)
         server.setConfiguration(satori.decide(monitor.observe(0.1)));
-    if (satori.diagnostics().settled)
+    if (satori.diagnostics().settled) {
         EXPECT_DOUBLE_EQ(satori.diagnostics().proxy_change_pct, 0.0);
+    }
 }
 
 TEST(ControllerTest, DiagnosticsArePopulated)

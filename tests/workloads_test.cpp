@@ -140,8 +140,9 @@ TEST_P(CombinationsProperty, CountAndOrder)
         ASSERT_EQ(combos[i].size(), k);
         for (std::size_t j = 1; j < k; ++j)
             EXPECT_LT(combos[i][j - 1], combos[i][j]);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(combos[i - 1], combos[i]);
+        }
     }
 }
 

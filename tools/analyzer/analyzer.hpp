@@ -378,10 +378,6 @@ struct SymbolIndex
     /// resolution for call-edge pruning).
     std::map<std::string, std::map<std::string, std::string>>
         class_fields;
-
-    /// Qualified names declared [[nodiscard]] anywhere in the scanned
-    /// set: "Owner::name" for members, "::name" for free functions.
-    std::set<std::string> nodiscard_qualified;
 };
 
 /** Build the index over every scanned file (heuristic, see @file). */
@@ -490,8 +486,7 @@ void runLockOrderPass(const SymbolIndex& index, const CallGraph& graph,
 /**
  * CFG-based flow pack over every function @p index found in @p file:
  * locals/parameters used after std::move on some path without an
- * intervening reassignment (flow-use-after-move), discarded calls to
- * [[nodiscard]] functions (flow-discarded-nodiscard), and statements
+ * intervening reassignment (flow-use-after-move), and statements
  * that can only be reached by falling through a SATORI_FATAL /
  * SATORI_PANIC / abort / exit call (flow-dead-after-fatal).
  */

@@ -680,13 +680,6 @@ ruleCatalog()
          "Delete the unreachable statement, or restructure so the "
          "cleanup runs before the fatal path (RAII handles most "
          "cases)."},
-        {"flow-discarded-nodiscard", "flow",
-         "An expression statement that drops the result of a "
-         "[[nodiscard]] function ignores a value the author marked "
-         "as must-use — typically an error state or a computed "
-         "result the caller thought was stored.",
-         "Use the returned value, or document the deliberate drop "
-         "with `(void)` plus a comment saying why."},
         {"flow-use-after-move", "flow",
          "A variable read after std::move consumed it holds an "
          "unspecified value; the code works until the moved-from "
@@ -709,11 +702,6 @@ ruleCatalog()
          "moment two translation units meet it.",
          "Open every header with #ifndef/#define "
          "SATORI_<PATH>_HPP and close with #endif."},
-        {"num-c-cast", "num",
-         "A C-style (int)/(long) cast of a floating expression "
-         "truncates silently and hides the intent.",
-         "Use static_cast with an explicit rounding call (floor, "
-         "round) when truncation is intended."},
         {"num-float-eq", "num",
          "Floating == / != compares rounded representations; results "
          "flip with optimization level and platform.",

@@ -8,19 +8,13 @@
  *                              is propagated to a fixpoint over the
  *                              CFG, so loop back-edges (move in the
  *                              body, use at the top) are caught.
- *   flow-discarded-nodiscard - an expression statement discarding the
- *                              result of a function declared
- *                              [[nodiscard]] in the scanned set. The
- *                              callee is matched through receiver or
- *                              owner resolution so a same-named
- *                              discardable function elsewhere does
- *                              not misfire.
  *   flow-dead-after-fatal    - a statement only reachable by falling
  *                              through SATORI_FATAL / SATORI_PANIC /
  *                              abort / exit, which never return.
  *
- * All three walk the functions indexed from one file, so findings
- * anchor to real lines of that file.
+ * Both walk the functions indexed from one file, so findings anchor
+ * to real lines of that file. A discarded [[nodiscard]] result is
+ * the compiler's job (-Wunused-result, an error under -Werror).
  */
 
 #include "analyzer/analyzer.hpp"
@@ -324,117 +318,6 @@ runDeadAfterFatal(const FunctionDef& def, const Cfg& cfg,
     }
 }
 
-/**
- * Resolve whether a discarded call statement hits a [[nodiscard]]
- * declaration: by receiver type, by the caller's own class, or by a
- * free-function match.
- */
-bool
-callIsNodiscard(const SymbolIndex& index, const FunctionDef& caller,
-                const std::string& name, const std::string& receiver,
-                const std::string& qualifier)
-{
-    const auto has = [&index](const std::string& owner,
-                              const std::string& fn) {
-        return index.nodiscard_qualified.count(owner + "::" + fn) != 0;
-    };
-    if (!qualifier.empty())
-        return has(qualifier, name);
-    if (!receiver.empty() && receiver != "this") {
-        const auto local = caller.var_types.find(receiver);
-        std::string type;
-        if (local != caller.var_types.end()) {
-            type = local->second;
-        } else if (!caller.owner.empty()) {
-            const auto cls = index.class_fields.find(caller.owner);
-            if (cls != index.class_fields.end()) {
-                const auto field = cls->second.find(receiver);
-                if (field != cls->second.end())
-                    type = field->second;
-            }
-        }
-        return !type.empty() && has(type, name);
-    }
-    if (!caller.owner.empty() && has(caller.owner, name))
-        return true;
-    return has("", name);
-}
-
-void
-runDiscardedNodiscard(const FunctionDef& def, const Cfg& cfg,
-                      const SymbolIndex& index,
-                      std::vector<Finding>& findings)
-{
-    if (index.nodiscard_qualified.empty())
-        return;
-    for (const CfgNode& node : cfg.nodes) {
-        const std::string& text = node.text;
-        if (text.size() < 4 || text.back() != ';')
-            continue;
-        // An expression statement discarding a value is
-        // `chain(args);` with the call covering the whole statement.
-        if (!isIdentChar(text[0]) && text[0] != '~')
-            continue;
-        std::size_t pos = 0;
-        while (pos < text.size() &&
-               (isIdentChar(text[pos]) || text[pos] == ':' ||
-                text[pos] == '.' ||
-                (text[pos] == '-' && pos + 1 < text.size() &&
-                 text[pos + 1] == '>') ||
-                (text[pos] == '>' && pos > 0 && text[pos - 1] == '-')))
-            ++pos;
-        if (pos >= text.size() || text[pos] != '(')
-            continue;
-        const std::size_t close = findMatching(text, pos, '(', ')');
-        if (close == std::string::npos || close + 1 != text.size() - 1)
-            continue;
-        const std::string chain = text.substr(0, pos);
-        // Split receiver / qualifier / name.
-        std::string name = chain;
-        std::string receiver;
-        std::string qualifier;
-        const std::size_t dot = chain.rfind('.');
-        const std::size_t arrow = chain.rfind("->");
-        if (dot != std::string::npos ||
-            arrow != std::string::npos) {
-            const bool use_arrow =
-                arrow != std::string::npos &&
-                (dot == std::string::npos || arrow > dot);
-            const std::size_t cut = use_arrow ? arrow : dot;
-            receiver = chain.substr(0, cut);
-            name = chain.substr(cut + (use_arrow ? 2 : 1));
-            // Only simple receivers resolve; a().b() chain does not.
-            if (!receiver.empty() &&
-                receiver.find_first_not_of(
-                    "abcdefghijklmnopqrstuvwxyz"
-                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_") !=
-                    std::string::npos)
-                continue;
-        } else {
-            const std::size_t scope = chain.rfind("::");
-            if (scope != std::string::npos) {
-                qualifier = chain.substr(0, scope);
-                const std::size_t inner = qualifier.rfind("::");
-                if (inner != std::string::npos)
-                    qualifier = qualifier.substr(inner + 2);
-                name = chain.substr(scope + 2);
-            }
-        }
-        if (name.empty() || name == def.name)
-            continue;
-        if (!callIsNodiscard(index, def, name, receiver, qualifier))
-            continue;
-        Finding f;
-        f.file = def.display;
-        f.line = node.line;
-        f.rule = "flow-discarded-nodiscard";
-        f.message = "result of [[nodiscard]] call `" + chain +
-                    "(...)` is discarded (in " + def.qualified +
-                    "); use the value or cast to void with a reason";
-        findings.push_back(std::move(f));
-    }
-}
-
 } // namespace
 
 void
@@ -447,7 +330,6 @@ runFlowPack(const SourceFile& file, const SymbolIndex& index,
         const Cfg cfg = buildCfg(def);
         runUseAfterMove(def, cfg, findings);
         runDeadAfterFatal(def, cfg, findings);
-        runDiscardedNodiscard(def, cfg, index, findings);
     }
 }
 

@@ -5,7 +5,8 @@
  * live or die on well-behaved float handling. These passes catch the
  * classic traps at commit time.
  *
- * Rules: num-float-eq, num-c-cast, num-int-abs.
+ * Rules: num-float-eq, num-int-abs. C-style casts are the compiler's
+ * job (-Wold-style-cast, an error under -Werror).
  */
 
 #include "analyzer/analyzer.hpp"
@@ -165,71 +166,6 @@ scanFloatEquality(const SourceFile& file, std::vector<Finding>& findings)
 }
 
 void
-scanCStyleCast(const SourceFile& file, std::vector<Finding>& findings)
-{
-    for (std::size_t li = 0; li < file.lines.size(); ++li) {
-        if (file.lines[li].preproc)
-            continue;
-        const std::string& code = file.lines[li].code;
-        const int lineno = static_cast<int>(li) + 1;
-        for (const char* type : {"(int)", "(long)"}) {
-            const std::string pat(type);
-            std::size_t at = 0;
-            while ((at = code.find(pat, at)) != std::string::npos) {
-                const std::size_t begin = at;
-                at += pat.size();
-                // A cast follows an operator/keyword, not an
-                // identifier (that would be a parameter list `f(int)`).
-                const std::string before =
-                    prevTokenBefore(code, begin);
-                const bool cast_context =
-                    before.empty() || before == "return" ||
-                    before == "case" ||
-                    (before.size() == 1 &&
-                     std::string("=+-*/%<>&|,;({?:").find(before) !=
-                         std::string::npos);
-                if (!cast_context)
-                    continue;
-                bool is_call = false;
-                std::string operand =
-                    operandToken(code, begin + pat.size(), false,
-                                 is_call);
-                if (operand == "(") {
-                    // `(int)(expr)` — look inside the parens.
-                    const std::size_t open = code.find('(', at - 1);
-                    const std::size_t close =
-                        open == std::string::npos
-                            ? std::string::npos
-                            : findMatching(code, open, '(', ')');
-                    bool floating = false;
-                    if (close != std::string::npos) {
-                        const std::string inner =
-                            code.substr(open + 1, close - open - 1);
-                        for (const std::string& name :
-                             file.float_idents)
-                            if (containsWord(inner, name))
-                                floating = true;
-                        if (inner.find('.') != std::string::npos)
-                            floating = true;
-                    }
-                    if (!floating)
-                        continue;
-                    operand = "(...)";
-                } else if (!isFloatingToken(file, operand, li)) {
-                    continue;
-                }
-                add(findings, file, lineno, "num-c-cast",
-                    "C-style " + pat +
-                        " narrowing of floating expression `" +
-                        operand +
-                        "`; use static_cast with an explicit rounding "
-                        "helper (std::lround/std::floor)");
-            }
-        }
-    }
-}
-
-void
 scanIntegerAbs(const SourceFile& file, std::vector<Finding>& findings)
 {
     for (std::size_t li = 0; li < file.lines.size(); ++li) {
@@ -287,7 +223,6 @@ void
 runNumericPack(const SourceFile& file, std::vector<Finding>& findings)
 {
     scanFloatEquality(file, findings);
-    scanCStyleCast(file, findings);
     scanIntegerAbs(file, findings);
 }
 

@@ -768,54 +768,6 @@ pathAllowlisted(const std::string& display, const Options& options)
     return false;
 }
 
-/**
- * Harvest [[nodiscard]] declarations: for each attribute, the next
- * `name(` within a short window names the function; the owner is the
- * explicit scope or the enclosing class.
- */
-void
-collectNodiscard(const std::string& all,
-                 const std::vector<ClassScope>& scopes,
-                 std::set<std::string>& qualified)
-{
-    std::size_t at = 0;
-    while ((at = all.find("[[", at)) != std::string::npos) {
-        const std::size_t close = all.find("]]", at);
-        if (close == std::string::npos)
-            break;
-        const std::string attr = all.substr(at, close - at);
-        at = close + 2;
-        if (attr.find("nodiscard") == std::string::npos)
-            continue;
-        // The declaration's name is the identifier before the first
-        // `(` after the attribute; bound the window so a nodiscard
-        // type doesn't pick up an unrelated call far below.
-        const std::size_t limit =
-            std::min(all.size(), close + std::size_t{200});
-        std::size_t paren = all.find('(', close);
-        if (paren == std::string::npos || paren > limit)
-            continue;
-        // A `;` or `{` before the `(` means the attribute belonged to
-        // something without a parameter list (a type, a variable).
-        const std::string between =
-            all.substr(close + 2, paren - close - 2);
-        if (between.find(';') != std::string::npos ||
-            between.find('{') != std::string::npos ||
-            between.find("operator") != std::string::npos)
-            continue;
-        const std::string chain = prevTokenBefore(all, paren);
-        if (!isIdentifierChain(chain) || chain[0] == '~')
-            continue;
-        const std::string name = lastComponent(chain);
-        if (isNonFunctionKeyword(name))
-            continue;
-        std::string owner = scopeComponent(chain);
-        if (owner.empty())
-            owner = innermostClass(scopes, paren);
-        qualified.insert(owner + "::" + name);
-    }
-}
-
 /** Index every definition the heuristic can prove in @p file. */
 void
 indexFile(const SourceFile& file, const Options& options,
@@ -844,7 +796,6 @@ indexFile(const SourceFile& file, const Options& options,
     const bool allowlisted = pathAllowlisted(file.display, options);
     const std::vector<ClassScope> scopes = collectClassScopes(all);
     collectClassFields(all, scopes, index.class_fields);
-    collectNodiscard(all, scopes, index.nodiscard_qualified);
 
     std::size_t pos = 0;
     while ((pos = all.find('(', pos)) != std::string::npos) {
