@@ -25,7 +25,6 @@ main()
 
     harness::ExperimentOptions options;
     options.duration = 30.0;
-    options.record_series = false;
     const harness::ExperimentRunner runner(options);
 
     // --- SATORI -----------------------------------------------------

@@ -3,8 +3,9 @@
  * Crash-safe file plumbing shared by the persist subsystem, the
  * trace writer, and the observability exporters: atomic temp-file +
  * rename installs (a reader never sees a half-written file), whole-
- * file reads, and up-front output-path validation so CLI runs fail
- * before the experiment instead of 30 simulated seconds into it.
+ * file reads, up-front output-path validation so CLI runs fail
+ * before the experiment instead of 30 simulated seconds into it, and
+ * the one number format and string escape of every text export.
  * The helpers live in common (not persist) because the obs layer
  * sits below persist in the architecture DAG yet installs its
  * exports with the same atomic rename.
@@ -66,6 +67,19 @@ void validateOutputFile(const std::string& flag, const std::string& path);
  *         not writable, or cannot be created.
  */
 void validateOutputDir(const std::string& flag, const std::string& path);
+
+/**
+ * @p value with 10 significant digits and no trailing-zero noise: the
+ * number format of the trace, the metrics exports, the audit channel,
+ * the stats history and the watchdog, so their goldens line up.
+ */
+[[nodiscard]] std::string formatNumber(double value);
+
+/**
+ * Escape free text for a JSON string value or a Prometheus HELP line:
+ * '"' and '\\' get a backslash, a newline becomes "\\n".
+ */
+[[nodiscard]] std::string escapeText(const std::string& text);
 
 } // namespace satori
 

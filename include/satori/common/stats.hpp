@@ -88,12 +88,6 @@ class TimeSeries
      */
     [[nodiscard]] double meanOver(double t0, double t1) const;
 
-    /** Serialize all points (checkpoint recovery). */
-    void saveState(persist::StateWriter& w) const;
-
-    /** Restore a series saved by saveState. */
-    void restoreState(persist::StateReader& r);
-
   private:
     std::vector<double> times_;
     std::vector<double> values_;

@@ -17,8 +17,9 @@
 #include "satori/common/types.hpp"
 #include "satori/faults/injector.hpp"
 #include "satori/metrics/metrics.hpp"
-#include "satori/policies/policy.hpp"
 #include "satori/harness/trace.hpp"
+#include "satori/persist/wal.hpp"
+#include "satori/policies/policy.hpp"
 #include "satori/sim/monitor.hpp"
 
 namespace satori {
@@ -44,21 +45,18 @@ struct ExperimentOptions
     ThroughputMetric tmetric = ThroughputMetric::SumIps;
     FairnessMetric fmetric = FairnessMetric::JainIndex;
 
-    /** Retain full per-interval time series in the result. */
-    bool record_series = false;
-
     /**
-     * Optional per-interval hook, called after the policy decided
-     * (for figure-specific instrumentation).
+     * Optional per-interval hook, called with the interval's record
+     * after the policy's decision was actuated (for figure-specific
+     * instrumentation, pacing, or collecting a run's records to
+     * compare with persist::firstMismatch).
      */
-    std::function<void(const sim::IntervalObservation&, double t_norm,
-                       double f_norm)>
-        on_interval;
+    std::function<void(const persist::IntervalRecord&)> on_interval;
 
     /**
-     * Optional trace sink: when set, every interval is appended as a
-     * TraceRecord (time, config, per-job IPS/speedups, metrics). The
-     * writer must outlive the run.
+     * Optional trace sink: when set, every interval's record (time,
+     * config, per-job IPS/speedups, metrics, fault flags) is appended
+     * to it. The writer must outlive the run.
      */
     TraceWriter* trace = nullptr;
 
@@ -78,10 +76,10 @@ struct ExperimentOptions
      * its cadence, so a killed run can resume with --resume and
      * produce a byte-identical decision trace. The policy must
      * return supportsPersistence(). On resume, trace rows before the
-     * resumed snapshot are regenerated from the WAL (the on_interval
-     * hook is not re-invoked for them), and re-executed intervals are
-     * verified bitwise against the WAL's records. The checkpointer
-     * must outlive the run.
+     * resumed snapshot are written from the WAL's records (the
+     * on_interval hook is not re-invoked for them), and each
+     * re-executed interval's record must match its WAL record under
+     * persist::firstMismatch. The checkpointer must outlive the run.
      */
     persist::Checkpointer* checkpoint = nullptr;
 };
@@ -108,10 +106,6 @@ struct ExperimentResult
     /** Full distributional statistics (post-warmup). */
     OnlineStats throughput_stats;
     OnlineStats fairness_stats;
-
-    /** Time series (only if record_series was set). */
-    TimeSeries throughput_series;
-    TimeSeries fairness_series;
 };
 
 /** Drives policies through simulated co-location runs. */

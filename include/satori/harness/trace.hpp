@@ -1,8 +1,9 @@
 /**
  * @file
- * Structured experiment tracing: per-interval records (time, config,
- * per-job IPS/speedups, metrics, weights) streamed to CSV or JSON
- * Lines, so runs can be analyzed or re-plotted outside the harness.
+ * Structured experiment tracing: the harness's per-interval records
+ * (time, config, per-job IPS/speedups, metrics, fault flags) streamed
+ * to CSV or JSON Lines, so runs can be analyzed or re-plotted outside
+ * the harness.
  */
 
 #ifndef SATORI_HARNESS_TRACE_HPP
@@ -10,32 +11,11 @@
 
 #include <fstream>
 #include <string>
-#include <vector>
 
-#include "satori/common/types.hpp"
-#include "satori/config/configuration.hpp"
+#include "satori/persist/wal.hpp"
 
 namespace satori {
 namespace harness {
-
-/** One interval's trace record. */
-struct TraceRecord
-{
-    Seconds time = 0.0;
-    std::string policy;
-    Configuration config;
-    std::vector<Ips> ips;
-    std::vector<double> speedups;
-    double throughput = 0.0; ///< Normalized.
-    double fairness = 0.0;
-
-    /**
-     * Faults injected during the interval, as the injector's compact
-     * flags (e.g. "spike(j0)|noact"); empty for a clean interval or
-     * an un-instrumented run.
-     */
-    std::string faults;
-};
 
 /** Output encoding for a trace file. */
 enum class TraceFormat
@@ -45,14 +25,14 @@ enum class TraceFormat
 };
 
 /**
- * Streams TraceRecords to a file. The writer is format-stable: the
- * CSV header (or JSON keys) are fixed by the first record's job
- * count.
+ * Streams interval records to a file. The writer is format-stable:
+ * the CSV header (or JSON keys) are fixed by the first record's job
+ * count. The record's interval index and decision are not written.
  *
  * Records are formatted into an in-memory buffer and written to the
- * file every flush_every records (and on flush()/destruction) rather
- * than per interval, so tracing a 100 ms decision loop does not put
- * a filesystem round-trip on every control interval.
+ * file every 256 records (and on flush()/destruction) rather than
+ * per interval, so tracing a 100 ms decision loop does not put a
+ * filesystem round-trip on every control interval.
  *
  * Durability: records stream into "<path>.tmp"; close() (or the
  * destructor) renames the finished file into place, so readers never
@@ -67,12 +47,8 @@ class TraceWriter
     /**
      * Open "<path>.tmp" for writing; close() installs @p path.
      * @throws FatalError (with errno) if the file cannot be created.
-     *
-     * @param flush_every Records buffered between writes to the file;
-     *        0 buffers the whole run until flush()/destruction.
      */
-    TraceWriter(const std::string& path, TraceFormat format,
-                std::size_t flush_every = 256);
+    TraceWriter(const std::string& path, TraceFormat format);
 
     /** Finalizes via close(); failures are reported to stderr. */
     ~TraceWriter();
@@ -80,8 +56,9 @@ class TraceWriter
     TraceWriter(const TraceWriter&) = delete;
     TraceWriter& operator=(const TraceWriter&) = delete;
 
-    /** Append one record (buffered; see flush_every). */
-    void write(const TraceRecord& record);
+    /** Append one record of @p policy's run (buffered). */
+    void write(const persist::IntervalRecord& record,
+               const std::string& policy);
 
     /** Records written so far. */
     [[nodiscard]] std::size_t count() const { return count_; }
@@ -97,15 +74,16 @@ class TraceWriter
     void close();
 
   private:
-    void writeCsvHeader(const TraceRecord& record);
-    void writeCsv(const TraceRecord& record);
-    void writeJson(const TraceRecord& record);
+    void writeCsvHeader(const persist::IntervalRecord& record);
+    void writeCsv(const persist::IntervalRecord& record,
+                  const std::string& policy);
+    void writeJson(const persist::IntervalRecord& record,
+                   const std::string& policy);
 
     std::string path_;     ///< Final path installed by close().
     std::string tmp_path_; ///< In-progress file (path_ + ".tmp").
     std::ofstream out_;
     TraceFormat format_;
-    std::size_t flush_every_;
     std::string buffer_;
     std::size_t buffered_ = 0; ///< Records in buffer_ since last flush.
     std::size_t count_ = 0;

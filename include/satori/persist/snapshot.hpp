@@ -54,8 +54,10 @@ namespace persist {
  * v4: SatoriController::saveState drops the per-job reference IPS,
  * the per-job strike count, the CUSUM detector, the exploit step
  * count and the dwell count; GoalRecorder::saveState drops each
- * sample's input vector (recomputed from its configuration). */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+ * sample's input vector (recomputed from its configuration).
+ * v5: the harness "loop" section drops the throughput and fairness
+ * time series; the harness keeps no per-interval series. */
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /** Assembles one snapshot: named sections, then an atomic install. */
 class SnapshotWriter

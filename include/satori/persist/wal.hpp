@@ -61,6 +61,16 @@ struct IntervalRecord
     [[nodiscard]] static IntervalRecord decode(StateReader& r);
 };
 
+/**
+ * The one comparator for runs that must match: the name of the first
+ * field (in the causal order above, "interval" .. "decision") where
+ * @p a and @p b differ, or nullptr if they are identical. Doubles
+ * compare bitwise, so -0.0 differs from +0.0 and a NaN equals only
+ * the same NaN.
+ */
+[[nodiscard]] const char* firstMismatch(const IntervalRecord& a,
+                                        const IntervalRecord& b);
+
 /** Result of scanning a WAL file. */
 struct WalReadResult
 {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <system_error>
 
@@ -142,6 +143,31 @@ validateOutputDir(const std::string& flag, const std::string& path)
     }
     if (!dirWritable(path))
         SATORI_FATAL(flag + ": directory '" + path + "' is not writable");
+}
+
+std::string
+formatNumber(double value)
+{
+    std::ostringstream out;
+    out << std::setprecision(10) << value;
+    return out.str();
+}
+
+std::string
+escapeText(const std::string& text)
+{
+    std::string out;
+    out.reserve(text.size());
+    for (char c : text) {
+        if (c == '"' || c == '\\')
+            out.push_back('\\');
+        if (c == '\n') {
+            out += "\\n";
+            continue;
+        }
+        out.push_back(c);
+    }
+    return out;
 }
 
 } // namespace satori

@@ -1,7 +1,6 @@
 #include "satori/harness/experiment.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 
 #include "satori/common/logging.hpp"
@@ -15,62 +14,6 @@ namespace {
 
 /** Isolation-baseline re-record period (paper: T_E = 10 s). */
 constexpr Seconds kBaselineResetPeriod = 10.0;
-
-/** Bitwise double equality (recovery verification wants exactness). */
-bool
-bitEqual(double a, double b)
-{
-    return std::bit_cast<std::uint64_t>(a) ==
-           std::bit_cast<std::uint64_t>(b);
-}
-
-bool
-bitEqual(const std::vector<double>& a, const std::vector<double>& b)
-{
-    const std::size_t n = a.size();
-    const std::size_t m = b.size();
-    if (n != m)
-        return false;
-    for (std::size_t i = 0; i < n; ++i)
-        if (!bitEqual(a[i], b[i]))
-            return false;
-    return true;
-}
-
-/**
- * Compare a re-executed interval against its pre-crash WAL record.
- * Any difference means the resumed state did not reproduce the
- * original run - a hard error, never a silent fork.
- */
-void
-verifyReplay(const persist::IntervalRecord& logged,
-             const persist::IntervalRecord& redone, std::size_t step)
-{
-    const char* field = nullptr;
-    if (logged.interval != redone.interval)
-        field = "interval index";
-    else if (!bitEqual(logged.time, redone.time))
-        field = "interval time";
-    else if (!(logged.config == redone.config))
-        field = "running configuration";
-    else if (!bitEqual(logged.ips, redone.ips))
-        field = "measured IPS";
-    else if (!bitEqual(logged.speedups, redone.speedups))
-        field = "speedups";
-    else if (!bitEqual(logged.throughput, redone.throughput))
-        field = "normalized throughput";
-    else if (!bitEqual(logged.fairness, redone.fairness))
-        field = "normalized fairness";
-    else if (logged.faults != redone.faults)
-        field = "fault flags";
-    else if (!(logged.decision == redone.decision))
-        field = "policy decision";
-    if (field != nullptr)
-        SATORI_FATAL("resume diverged from the WAL at interval " +
-                     std::to_string(step) + ": " + field +
-                     " does not match the pre-crash run (restored "
-                     "state is not byte-identical)");
-}
 
 } // namespace
 
@@ -144,8 +87,6 @@ ExperimentRunner::run(sim::SimulatedServer& server,
                                  std::to_string(per_job_speedup.size()));
                 for (auto& s : per_job_speedup)
                     s.restoreState(r);
-                result.throughput_series.restoreState(r);
-                result.fairness_series.restoreState(r);
                 r.expectEnd();
             }
             start_step = ckpt->resumeStep();
@@ -154,20 +95,9 @@ ExperimentRunner::run(sim::SimulatedServer& server,
             // Intervals before the snapshot are not re-executed; their
             // trace rows come byte-for-byte from the WAL so the final
             // file is indistinguishable from an uninterrupted run's.
-            for (std::size_t i = 0; i < start_step; ++i) {
-                const persist::IntervalRecord& logged =
-                    ckpt->walRecords()[i];
-                TraceRecord row;
-                row.time = logged.time;
-                row.policy = policy.name();
-                row.config = logged.config;
-                row.ips = logged.ips;
-                row.speedups = logged.speedups;
-                row.throughput = logged.throughput;
-                row.fairness = logged.fairness;
-                row.faults = logged.faults;
-                options_.trace->write(row);
-            }
+            for (std::size_t i = 0; i < start_step; ++i)
+                options_.trace->write(ckpt->walRecords()[i],
+                                      result.policy_name);
         }
     }
 
@@ -181,7 +111,7 @@ ExperimentRunner::run(sim::SimulatedServer& server,
             options_.faults->beginInterval(server))
             monitor.resetBaseline();
 
-        const sim::IntervalObservation obs = monitor.observe(options_.dt);
+        sim::IntervalObservation obs = monitor.observe(options_.dt);
 
         // Score against the *instantaneous* isolation performance so
         // reported aggregates are not biased by baseline staleness;
@@ -190,7 +120,7 @@ ExperimentRunner::run(sim::SimulatedServer& server,
         const std::vector<Ips> iso_now = server.isolationIpsNow();
         const double t_norm =
             normalizedThroughput(options_.tmetric, obs.ips, iso_now);
-        const std::vector<double> spd = speedups(obs.ips, iso_now);
+        std::vector<double> spd = speedups(obs.ips, iso_now);
         const double f_norm = normalizedFairness(options_.fmetric, spd);
 
         if (obs.time > options_.warmup) {
@@ -198,10 +128,6 @@ ExperimentRunner::run(sim::SimulatedServer& server,
             result.fairness_stats.add(f_norm);
             for (std::size_t j = 0; j < spd.size(); ++j)
                 per_job_speedup[j].add(std::min(spd[j], 1.0));
-            if (options_.record_series) {
-                result.throughput_series.add(obs.time, t_norm);
-                result.fairness_series.add(obs.time, f_norm);
-            }
         }
 
         // The policy sees what the (possibly faulty) telemetry path
@@ -220,55 +146,56 @@ ExperimentRunner::run(sim::SimulatedServer& server,
             server.setConfiguration(next);
         }
 
+        // The interval's one record, built once the decision is
+        // actuated; every sink below reads this object.
+        persist::IntervalRecord rec;
+        rec.interval = static_cast<std::uint64_t>(step);
+        rec.time = obs.time;
+        rec.config = std::move(obs.config);
+        rec.ips = std::move(obs.ips);
+        rec.speedups = std::move(spd);
+        rec.throughput = t_norm;
+        rec.fairness = f_norm;
+        if (options_.faults != nullptr)
+            rec.faults = options_.faults->lastFlags();
+        rec.decision = std::move(next);
+
         if (options_.on_interval)
-            options_.on_interval(obs, t_norm, f_norm);
+            options_.on_interval(rec);
 
         if (options_.trace) {
             SATORI_OBS_SPAN("harness.trace");
-            TraceRecord rec;
-            rec.time = obs.time;
-            rec.policy = policy.name();
-            rec.config = obs.config;
-            rec.ips = obs.ips;
-            rec.speedups = spd;
-            rec.throughput = t_norm;
-            rec.fairness = f_norm;
-            if (options_.faults != nullptr)
-                rec.faults = options_.faults->lastFlags();
-            options_.trace->write(rec);
+            options_.trace->write(rec, result.policy_name);
         }
 
         // Live telemetry plane: one history row + one watchdog pass
         // per interval, after the decision and trace write so nothing
-        // here can feed back into them. (`obs` is the interval
-        // observation; the namespace needs full qualification.)
+        // here can feed back into them. (The local `obs` hides the
+        // namespace, hence the full qualification.)
         SATORI_OBS_HOOK(::satori::obs::observability().onHarnessInterval(
-            static_cast<std::uint64_t>(step), obs.time, obs.ips, t_norm,
-            f_norm));
+            rec.interval, rec.time, rec.ips, rec.throughput,
+            rec.fairness));
 
-        if (obs.time - last_reset >= kBaselineResetPeriod) {
+        if (rec.time - last_reset >= kBaselineResetPeriod) {
             monitor.resetBaseline();
-            last_reset = obs.time;
+            last_reset = rec.time;
         }
 
         // Durability last, after every state change of the interval,
         // so a snapshot taken here resumes cleanly at step + 1.
         if (ckpt != nullptr) {
-            persist::IntervalRecord rec;
-            rec.interval = static_cast<std::uint64_t>(step);
-            rec.time = obs.time;
-            rec.config = obs.config;
-            rec.ips = obs.ips;
-            rec.speedups = spd;
-            rec.throughput = t_norm;
-            rec.fairness = f_norm;
-            if (options_.faults != nullptr)
-                rec.faults = options_.faults->lastFlags();
-            rec.decision = next;
             // Intervals the killed run already logged must replay
-            // exactly; a divergence means restored state is wrong.
-            if (step < replayed)
-                verifyReplay(ckpt->walRecords()[step], rec, step);
+            // exactly; a divergence means restored state is wrong -
+            // a hard error, never a silent fork.
+            if (step < replayed) {
+                if (const char* field = persist::firstMismatch(
+                        ckpt->walRecords()[step], rec))
+                    SATORI_FATAL(
+                        "resume diverged from the WAL at interval " +
+                        std::to_string(step) + ": field " + field +
+                        " does not match the pre-crash run (restored "
+                        "state is not byte-identical)");
+            }
             ckpt->onIntervalEnd(
                 step, rec, [&](persist::SnapshotWriter& snap) {
                     server.saveState(snap.section("server"));
@@ -284,8 +211,6 @@ ExperimentRunner::run(sim::SimulatedServer& server,
                     w.putSize(per_job_speedup.size());
                     for (const auto& s : per_job_speedup)
                         s.saveState(w);
-                    result.throughput_series.saveState(w);
-                    result.fairness_series.saveState(w);
                 });
         }
     }

@@ -3,9 +3,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <iomanip>
-#include <sstream>
 
+#include "satori/common/io.hpp"
 #include "satori/common/logging.hpp"
 
 namespace satori {
@@ -13,14 +12,8 @@ namespace harness {
 
 namespace {
 
-/** Format a double the way the pre-buffered writer did (10 digits). */
-std::string
-num(double value)
-{
-    std::ostringstream os;
-    os << std::setprecision(10) << value;
-    return os.str();
-}
+/** Records buffered between writes to the file. */
+constexpr std::size_t kFlushEvery = 256;
 
 /** "<msg>: <path>: <strerror>" with errno captured eagerly. */
 std::string
@@ -33,11 +26,9 @@ describeIoError(const std::string& msg, const std::string& path)
 
 } // namespace
 
-TraceWriter::TraceWriter(const std::string& path, TraceFormat format,
-                         std::size_t flush_every)
+TraceWriter::TraceWriter(const std::string& path, TraceFormat format)
     : path_(path), tmp_path_(path + ".tmp"),
-      out_(tmp_path_, std::ios::binary | std::ios::trunc),
-      format_(format), flush_every_(flush_every)
+      out_(tmp_path_, std::ios::binary | std::ios::trunc), format_(format)
 {
     if (!out_.good())
         SATORI_FATAL(describeIoError("cannot open trace file", tmp_path_));
@@ -56,7 +47,8 @@ TraceWriter::~TraceWriter()
 }
 
 void
-TraceWriter::write(const TraceRecord& record)
+TraceWriter::write(const persist::IntervalRecord& record,
+                   const std::string& policy)
 {
     switch (format_) {
       case TraceFormat::Csv:
@@ -64,20 +56,20 @@ TraceWriter::write(const TraceRecord& record)
             writeCsvHeader(record);
             header_written_ = true;
         }
-        writeCsv(record);
+        writeCsv(record, policy);
         break;
       case TraceFormat::JsonLines:
-        writeJson(record);
+        writeJson(record, policy);
         break;
     }
     ++count_;
     ++buffered_;
-    if (flush_every_ > 0 && buffered_ >= flush_every_)
+    if (buffered_ >= kFlushEvery)
         flush();
 }
 
 void
-TraceWriter::writeCsvHeader(const TraceRecord& record)
+TraceWriter::writeCsvHeader(const persist::IntervalRecord& record)
 {
     buffer_ += "time,policy,config,throughput,fairness";
     for (std::size_t j = 0; j < record.ips.size(); ++j)
@@ -88,41 +80,44 @@ TraceWriter::writeCsvHeader(const TraceRecord& record)
 }
 
 void
-TraceWriter::writeCsv(const TraceRecord& record)
+TraceWriter::writeCsv(const persist::IntervalRecord& record,
+                      const std::string& policy)
 {
-    buffer_ += num(record.time) + "," + record.policy + ",\"" +
+    buffer_ += formatNumber(record.time) + "," + policy + ",\"" +
                record.config.toString() + "\"," +
-               num(record.throughput) + "," + num(record.fairness);
+               formatNumber(record.throughput) + "," +
+               formatNumber(record.fairness);
     for (double v : record.ips) {
         buffer_ += ",";
-        buffer_ += num(v);
+        buffer_ += formatNumber(v);
     }
     for (double v : record.speedups) {
         buffer_ += ",";
-        buffer_ += num(v);
+        buffer_ += formatNumber(v);
     }
     buffer_ += ",\"" + record.faults + "\"\n";
 }
 
 void
-TraceWriter::writeJson(const TraceRecord& record)
+TraceWriter::writeJson(const persist::IntervalRecord& record,
+                       const std::string& policy)
 {
-    buffer_ += "{\"time\":" + num(record.time) + ",\"policy\":\"" +
-               record.policy + "\",\"config\":\"" +
+    buffer_ += "{\"time\":" + formatNumber(record.time) +
+               ",\"policy\":\"" + policy + "\",\"config\":\"" +
                record.config.toString() +
-               "\",\"throughput\":" + num(record.throughput) +
-               ",\"fairness\":" + num(record.fairness);
+               "\",\"throughput\":" + formatNumber(record.throughput) +
+               ",\"fairness\":" + formatNumber(record.fairness);
     buffer_ += ",\"ips\":[";
     for (std::size_t j = 0; j < record.ips.size(); ++j) {
         if (j > 0)
             buffer_ += ",";
-        buffer_ += num(record.ips[j]);
+        buffer_ += formatNumber(record.ips[j]);
     }
     buffer_ += "],\"speedups\":[";
     for (std::size_t j = 0; j < record.speedups.size(); ++j) {
         if (j > 0)
             buffer_ += ",";
-        buffer_ += num(record.speedups[j]);
+        buffer_ += formatNumber(record.speedups[j]);
     }
     buffer_ += "],\"faults\":\"" + record.faults + "\"}\n";
 }

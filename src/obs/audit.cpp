@@ -1,43 +1,14 @@
 #include "satori/obs/audit.hpp"
 
 #include <fstream>
-#include <iomanip>
-#include <sstream>
 
-#include "satori/common/logging.hpp"
 #include "satori/common/io.hpp"
+#include "satori/common/logging.hpp"
 
 namespace satori {
 namespace obs {
 
 namespace {
-
-/** Deterministic double formatting (matches registry exports). */
-std::string
-formatNumber(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(10) << value;
-    return out.str();
-}
-
-/** Escape a free-text string for a JSON string value. */
-std::string
-escapeText(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out.push_back(c);
-    }
-    return out;
-}
 
 /** One record as a single JSON object (no trailing newline). */
 std::string

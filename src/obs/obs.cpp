@@ -1,23 +1,14 @@
 #include "satori/obs/obs.hpp"
 
-#include <iomanip>
 #include <sstream>
 
+#include "satori/common/io.hpp"
 #include "satori/common/logging.hpp"
 
 namespace satori {
 namespace obs {
 
 namespace {
-
-/** Deterministic double formatting (matches registry exports). */
-std::string
-formatNumber(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(10) << value;
-    return out.str();
-}
 
 /** Numeric encoding of a guard verdict for the facts.guard series. */
 double

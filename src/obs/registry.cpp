@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 
+#include "satori/common/io.hpp"
 #include "satori/common/logging.hpp"
 
 namespace satori {
@@ -32,33 +31,6 @@ prometheusName(const std::string& name)
 {
     std::string out = name;
     std::replace(out.begin(), out.end(), '.', '_');
-    return out;
-}
-
-/** Deterministic number formatting shared by both export formats. */
-std::string
-formatNumber(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(10) << value;
-    return out.str();
-}
-
-/** Escape a free-text string for JSON / Prometheus HELP lines. */
-std::string
-escapeText(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out.push_back(c);
-    }
     return out;
 }
 

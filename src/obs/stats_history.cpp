@@ -9,22 +9,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 #include <sstream>
+
+#include "satori/common/io.hpp"
 
 namespace satori {
 namespace obs {
 
 namespace {
-
-/** Same numeric rendering as the registry exports (10 significant
- *  digits, no trailing-zero noise), so goldens line up. */
-std::string formatNumber(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(10) << value;
-    return out.str();
-}
 
 /** Rough per-point footprint for the byte-retention estimate. */
 constexpr std::size_t kPointBytes = sizeof(HistoryPoint);

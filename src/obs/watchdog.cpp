@@ -7,24 +7,13 @@
 #include "satori/obs/watchdog.hpp"
 
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 
+#include "satori/common/io.hpp"
 #include "satori/common/logging.hpp"
 
 namespace satori {
 namespace obs {
-
-namespace {
-
-std::string formatNumber(double value)
-{
-    std::ostringstream out;
-    out << std::setprecision(10) << value;
-    return out.str();
-}
-
-} // namespace
 
 const char* sloOpName(SloOp op)
 {

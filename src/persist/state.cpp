@@ -30,7 +30,7 @@ getConfiguration(StateReader& r)
 
 } // namespace persist
 
-// The common-layer value types (Rng, OnlineStats, TimeSeries) declare
+// The common-layer value types (Rng, OnlineStats) declare
 // saveState/restoreState against forward-declared codec types; the
 // definitions live here so common never includes persist headers and
 // the architecture DAG stays acyclic (persist -> common only).
@@ -77,20 +77,6 @@ OnlineStats::restoreState(persist::StateReader& r)
         min_ = mn;
         max_ = mx;
     }
-}
-
-void
-TimeSeries::saveState(persist::StateWriter& w) const
-{
-    w.putDoubleVec(times_);
-    w.putDoubleVec(values_);
-}
-
-void
-TimeSeries::restoreState(persist::StateReader& r)
-{
-    times_ = r.getDoubleVec();
-    values_ = r.getDoubleVec();
 }
 
 } // namespace satori

@@ -1,5 +1,7 @@
 #include "satori/persist/wal.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -49,7 +51,45 @@ encodeFrame(const IntervalRecord& record)
     return out;
 }
 
+[[nodiscard]] bool
+bitEqual(double x, double y)
+{
+    return std::bit_cast<std::uint64_t>(x) ==
+           std::bit_cast<std::uint64_t>(y);
+}
+
+[[nodiscard]] bool
+bitEqual(const std::vector<double>& xs, const std::vector<double>& ys)
+{
+    return std::equal(xs.begin(), xs.end(), ys.begin(), ys.end(),
+                      [](double x, double y) { return bitEqual(x, y); });
+}
+
 } // namespace
+
+const char*
+firstMismatch(const IntervalRecord& a, const IntervalRecord& b)
+{
+    if (a.interval != b.interval)
+        return "interval";
+    if (!bitEqual(a.time, b.time))
+        return "time";
+    if (!(a.config == b.config))
+        return "config";
+    if (!bitEqual(a.ips, b.ips))
+        return "ips";
+    if (!bitEqual(a.speedups, b.speedups))
+        return "speedups";
+    if (!bitEqual(a.throughput, b.throughput))
+        return "throughput";
+    if (!bitEqual(a.fairness, b.fairness))
+        return "fairness";
+    if (a.faults != b.faults)
+        return "faults";
+    if (!(a.decision == b.decision))
+        return "decision";
+    return nullptr;
+}
 
 void
 IntervalRecord::encode(StateWriter& w) const

@@ -3,9 +3,10 @@
 #
 # Runs an uninterrupted reference, then checkpointed runs killed at a
 # seeded interval (exit 137, like kill -9) - once cleanly after a WAL
-# append and once mid-append (torn tail) - resumes each with --resume,
-# and requires the finished traces to be byte-identical (cmp) to the
-# reference. Also drills the CLI validation error paths.
+# append, once mid-append (torn tail), and once with a JSON Lines
+# trace - resumes each with --resume, and requires the finished traces
+# to be byte-identical (cmp) to the matching reference. Also drills the
+# CLI validation error paths.
 #
 # Usage: crash_recovery_test.sh <path-to-satori_sim>
 set -u
@@ -53,6 +54,19 @@ grep -q "torn tail" "$WORK/res2.err" \
     || fail "torn-tail resume should report the truncation"
 cmp "$WORK/ref.csv" "$WORK/res2.csv" \
     || fail "torn-tail resume trace differs from the reference"
+
+# --- scenario 3: JSON Lines trace, clean kill and resume --------------
+"$SIM" "${RUN_ARGS[@]}" --trace "$WORK/ref.jsonl" --trace-format jsonl \
+    > /dev/null || fail "JSONL reference run exited $?"
+"$SIM" "${RUN_ARGS[@]}" --trace "$WORK/dead3.jsonl" --trace-format jsonl \
+    --checkpoint-dir "$WORK/ck3j" --checkpoint-every 40 \
+    --kill-at 110 > /dev/null 2>&1
+[ $? -eq 137 ] || fail "JSONL kill: expected exit 137"
+"$SIM" "${RUN_ARGS[@]}" --trace "$WORK/res3.jsonl" --trace-format jsonl \
+    --checkpoint-dir "$WORK/ck3j" --checkpoint-every 40 \
+    --resume > /dev/null 2>&1 || fail "JSONL resume exited $?"
+cmp "$WORK/ref.jsonl" "$WORK/res3.jsonl" \
+    || fail "resumed JSONL trace differs from the uninterrupted reference"
 
 # --- corruption: a bit flip is a hard error, never silent --------------
 SNAP=$(ls "$WORK/ck2"/snap.*.bin | tail -1)

@@ -1,20 +1,21 @@
 /**
  * @file
  * Tests for the fault-injection subsystem: plan parsing and scripting
- * errors, injector determinism (same seed + plan = byte-identical
- * traces), churn/baseline interactions, hardened-controller behavior
- * under faults, and audit cleanliness while faults are active.
+ * errors, injector determinism (same seed + plan = bitwise identical
+ * interval records), churn/baseline interactions, hardened-controller
+ * behavior under faults, and audit cleanliness while faults are
+ * active.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 #include <gtest/gtest.h>
 
+#include "record_match.hpp"
 #include "satori/satori.hpp"
 
 namespace satori {
@@ -35,15 +36,6 @@ workloads::JobMix
 testMix()
 {
     return workloads::mixOf({"canneal", "streamcluster", "swaptions"});
-}
-
-std::string
-fileContents(const std::string& path)
-{
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
 }
 
 // ---- FaultPlan scripting -------------------------------------------
@@ -303,9 +295,8 @@ TEST(FaultInjectorTest, OfflineThrottleIsTransient)
 
 // ---- End-to-end determinism and resilience -------------------------
 
-harness::ExperimentResult
-runFaulted(const std::string& policy_name, std::uint64_t fault_seed,
-           const std::string& trace_path = "")
+std::vector<persist::IntervalRecord>
+runFaulted(const std::string& policy_name, std::uint64_t fault_seed)
 {
     auto mix = testMix();
     sim::SimulatedServer server =
@@ -314,36 +305,27 @@ runFaulted(const std::string& policy_name, std::uint64_t fault_seed,
 
     FaultInjector injector(FaultPlan::escalating(mix.jobs.size(), 100),
                            fault_seed);
+    std::vector<persist::IntervalRecord> records;
     harness::ExperimentOptions opt;
     opt.duration = 10.0; // 100 intervals
     opt.faults = &injector;
-
-    std::optional<harness::TraceWriter> trace;
-    if (!trace_path.empty()) {
-        trace.emplace(trace_path, harness::TraceFormat::Csv);
-        opt.trace = &*trace;
-    }
-    const harness::ExperimentRunner runner(opt);
-    auto result = runner.run(server, *policy, mix.label);
-    if (trace)
-        trace->flush();
-    return result;
+    opt.on_interval = [&](const persist::IntervalRecord& rec) {
+        records.push_back(rec);
+    };
+    (void)harness::ExperimentRunner(opt).run(server, *policy, mix.label);
+    return records;
 }
 
 TEST(FaultInjectorTest, GoldenTraceIsByteIdenticalAcrossRuns)
 {
-    const std::string a = "/tmp/satori_faults_golden_a.csv";
-    const std::string b = "/tmp/satori_faults_golden_b.csv";
-    runFaulted("SATORI", 0xFA17, a);
-    runFaulted("SATORI", 0xFA17, b);
-    const std::string ca = fileContents(a);
-    EXPECT_FALSE(ca.empty());
-    EXPECT_EQ(ca, fileContents(b));
-    // The trace carries the per-interval fault annotations.
-    EXPECT_NE(ca.find(",faults"), std::string::npos);
-    EXPECT_NE(ca.find("spike(j"), std::string::npos);
-    std::remove(a.c_str());
-    std::remove(b.c_str());
+    const auto a = runFaulted("SATORI", 0xFA17);
+    const auto b = runFaulted("SATORI", 0xFA17);
+    EXPECT_FALSE(a.empty());
+    EXPECT_EQ(testutil::firstDivergence(a, b), "");
+    // The records carry the per-interval fault annotations.
+    EXPECT_TRUE(std::any_of(a.begin(), a.end(), [](const auto& rec) {
+        return rec.faults.find("spike(j") != std::string::npos;
+    }));
 }
 
 TEST(FaultInjectorTest, DifferentSeedsChangeTheFaultPattern)

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -84,11 +85,23 @@ TEST(ExperimentRunnerTest, SeriesRecordedOnRequest)
     ExperimentOptions opt;
     opt.duration = 3.0;
     opt.warmup = 0.0;
-    opt.record_series = true;
+    std::vector<persist::IntervalRecord> records;
+    opt.on_interval = [&](const persist::IntervalRecord& rec) {
+        records.push_back(rec);
+    };
     const ExperimentRunner runner(opt);
     const auto result = runner.run(server, policy, "");
-    EXPECT_EQ(result.throughput_series.size(), 30u);
-    EXPECT_EQ(result.fairness_series.size(), 30u);
+    ASSERT_EQ(records.size(), 30u);
+    double throughput_sum = 0.0;
+    double fairness_sum = 0.0;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i].interval, i);
+        throughput_sum += records[i].throughput;
+        fairness_sum += records[i].fairness;
+    }
+    // With no warm-up the aggregates cover every recorded interval.
+    EXPECT_NEAR(result.mean_throughput, throughput_sum / 30.0, 1e-12);
+    EXPECT_NEAR(result.mean_fairness, fairness_sum / 30.0, 1e-12);
 }
 
 TEST(ExperimentRunnerTest, OnIntervalHookSeesEveryInterval)
@@ -98,12 +111,11 @@ TEST(ExperimentRunnerTest, OnIntervalHookSeesEveryInterval)
     ExperimentOptions opt;
     opt.duration = 2.0;
     int calls = 0;
-    opt.on_interval = [&](const sim::IntervalObservation& obs, double t,
-                          double f) {
+    opt.on_interval = [&](const persist::IntervalRecord& rec) {
         ++calls;
-        EXPECT_GT(obs.time, 0.0);
-        EXPECT_GE(t, 0.0);
-        EXPECT_GE(f, 0.0);
+        EXPECT_GT(rec.time, 0.0);
+        EXPECT_GE(rec.throughput, 0.0);
+        EXPECT_GE(rec.fairness, 0.0);
     };
     (void)ExperimentRunner(opt).run(server, policy, "");
     EXPECT_EQ(calls, 20);
@@ -298,8 +310,9 @@ TEST(RepeatPolicyTest, SharedSinksForceSerialExecution)
     ExperimentOptions opt;
     opt.duration = 2.0;
     int intervals = 0;
-    opt.on_interval = [&](const sim::IntervalObservation&, double,
-                          double) { ++intervals; };
+    opt.on_interval = [&](const persist::IntervalRecord&) {
+        ++intervals;
+    };
     const auto rep = repeatPolicy(smallPlatform(), smallMix(), "Equal",
                                   opt, 3, 21, {}, 4);
     EXPECT_EQ(rep.runs, 3u);

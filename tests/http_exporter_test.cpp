@@ -9,18 +9,17 @@
  */
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "record_match.hpp"
 #include "satori/common/logging.hpp"
 #include "satori/harness/experiment.hpp"
 #include "satori/harness/scenarios.hpp"
-#include "satori/harness/trace.hpp"
 #include "satori/obs/http_exporter.hpp"
 #include "satori/obs/obs.hpp"
 #include "satori/workloads/mixes.hpp"
@@ -224,8 +223,8 @@ TEST(HttpExporterTest, PeriodicScraperCollectsAndStopsPromptly)
 
 // --- The sacred invariant ---------------------------------------------
 
-std::string
-runTrace(const std::string& path, bool live_scraped)
+std::vector<persist::IntervalRecord>
+runRecords(bool live_scraped)
 {
     Observability& o = observability();
     o.resetAll();
@@ -246,35 +245,29 @@ runTrace(const std::string& path, bool live_scraped)
     auto server = harness::makeServer(
         p, workloads::mixOf({"canneal", "swaptions"}), 5);
     auto policy = harness::makePolicy("SATORI", server);
+    std::vector<persist::IntervalRecord> records;
     {
         std::optional<PeriodicScraper> scraper;
         if (live_scraped)
             scraper.emplace(exporter.port(), "/metrics", 3);
-        harness::TraceWriter trace(path, harness::TraceFormat::Csv);
         harness::ExperimentOptions opt;
         opt.duration = 3.0;
-        opt.trace = &trace;
+        opt.on_interval = [&](const persist::IntervalRecord& rec) {
+            records.push_back(rec);
+        };
         (void)harness::ExperimentRunner(opt).run(server, *policy, "");
     }
     exporter.stop();
     o.resetAll();
-
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    return records;
 }
 
 TEST(HttpExporterTest, TraceIsByteIdenticalWithLiveScrapingMidRun)
 {
-    const std::string off_path = "/tmp/satori_exporter_det_off.csv";
-    const std::string on_path = "/tmp/satori_exporter_det_on.csv";
-    const std::string off = runTrace(off_path, false);
-    const std::string on = runTrace(on_path, true);
+    const auto off = runRecords(false);
+    const auto on = runRecords(true);
     EXPECT_FALSE(off.empty());
-    EXPECT_EQ(off, on);
-    std::remove(off_path.c_str());
-    std::remove(on_path.c_str());
+    EXPECT_EQ(testutil::firstDivergence(off, on), "");
 }
 
 #if defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED

@@ -11,13 +11,14 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "record_match.hpp"
 #include "satori/common/logging.hpp"
 #include "satori/harness/experiment.hpp"
 #include "satori/harness/scenarios.hpp"
-#include "satori/harness/trace.hpp"
 #include "satori/obs/obs.hpp"
 #include "satori/workloads/mixes.hpp"
 
@@ -431,8 +432,8 @@ TEST(ObservabilityTest, MacrosAreNoopsWhenDisabled)
 
 // --- Determinism: obs on vs off must not change decisions -------------
 
-std::string
-runWithTrace(const std::string& path, bool obs_on)
+std::vector<persist::IntervalRecord>
+runRecords(bool obs_on)
 {
     Observability& o = observability();
     o.resetAll();
@@ -449,40 +450,31 @@ runWithTrace(const std::string& path, bool obs_on)
         p, workloads::mixOf({"canneal", "swaptions"}), 5);
     auto policy = harness::makePolicy("SATORI", server);
 
-    {
-        harness::TraceWriter trace(path, harness::TraceFormat::Csv);
-        harness::ExperimentOptions opt;
-        opt.duration = 3.0;
-        opt.trace = &trace;
-        (void)harness::ExperimentRunner(opt).run(server, *policy, "");
-    } // destructor flushes
+    std::vector<persist::IntervalRecord> records;
+    harness::ExperimentOptions opt;
+    opt.duration = 3.0;
+    opt.on_interval = [&](const persist::IntervalRecord& rec) {
+        records.push_back(rec);
+    };
+    (void)harness::ExperimentRunner(opt).run(server, *policy, "");
 
     o.resetAll();
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    return records;
 }
 
 TEST(ObservabilityTest, DecisionTraceIsByteIdenticalObsOnVsOff)
 {
-    const std::string off_path = "/tmp/satori_obs_det_off.csv";
-    const std::string on_path = "/tmp/satori_obs_det_on.csv";
-    const std::string off = runWithTrace(off_path, false);
-    const std::string on = runWithTrace(on_path, true);
+    const auto off = runRecords(false);
+    const auto on = runRecords(true);
     EXPECT_FALSE(off.empty());
-    EXPECT_EQ(off, on);
-    std::remove(off_path.c_str());
-    std::remove(on_path.c_str());
+    EXPECT_EQ(testutil::firstDivergence(off, on), "");
 }
 
 #if defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED
 TEST(ObservabilityTest, FullRunProducesNestedSpansAndAuditRecords)
 {
-    const std::string path = "/tmp/satori_obs_full_run.csv";
-    (void)runWithTrace(path, true);
-    std::remove(path.c_str());
-    // resetAll() at the end of runWithTrace cleared the state; rerun
+    (void)runRecords(true);
+    // resetAll() at the end of runRecords cleared the state; rerun
     // with the channel left enabled to inspect what a run produces.
     Observability& o = observability();
     o.resetAll();

@@ -2,31 +2,29 @@
  * @file
  * Pins the decision-loop performance work's determinism contract:
  * the incremental GP path (rank-1 Cholesky appends + batched
- * acquisition) must produce decision traces byte-identical to the
- * full-refit path it replaced, over a real controller run that
+ * acquisition) must produce interval records bitwise identical to
+ * the full-refit path it replaced, over a real controller run that
  * exercises appends, window trims, settling, and baseline resets.
  */
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "record_match.hpp"
 #include "satori/harness/experiment.hpp"
 #include "satori/harness/scenarios.hpp"
-#include "satori/harness/trace.hpp"
 #include "satori/obs/obs.hpp"
 #include "satori/workloads/mixes.hpp"
 
 namespace satori {
 namespace {
 
-std::string
-runWithTrace(const std::string& path, bool incremental,
-             const std::vector<std::string>& mix, double duration)
+std::vector<persist::IntervalRecord>
+runRecords(bool incremental, const std::vector<std::string>& mix,
+           double duration)
 {
     PlatformSpec p;
     p.addResource(ResourceKind::Cores, 6);
@@ -36,24 +34,20 @@ runWithTrace(const std::string& path, bool incremental,
     options.engine.incremental = incremental;
     auto policy = harness::makePolicy("SATORI", server, options);
 
-    {
-        harness::TraceWriter trace(path, harness::TraceFormat::Csv);
-        harness::ExperimentOptions opt;
-        opt.duration = duration;
-        opt.trace = &trace;
-        (void)harness::ExperimentRunner(opt).run(server, *policy, "");
-    } // destructor flushes
-
-    std::ifstream in(path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    std::vector<persist::IntervalRecord> records;
+    harness::ExperimentOptions opt;
+    opt.duration = duration;
+    opt.on_interval = [&](const persist::IntervalRecord& rec) {
+        records.push_back(rec);
+    };
+    (void)harness::ExperimentRunner(opt).run(server, *policy, "");
+    return records;
 }
 
 /**
  * The load-bearing test for EngineOptions::incremental: every
- * per-interval decision record (time, chosen config, per-job IPS and
- * speedups, metrics) must match the full-refit path byte for byte.
+ * per-interval record (time, config, per-job IPS and speedups,
+ * metrics, decision) must match the full-refit path bit for bit.
  * 12 s at 100 ms intervals crosses the baseline-reset period and the
  * GP sample window, so the fast run takes both of the GP's update
  * branches - rank-1 appends and full refits - and the obs counters
@@ -61,42 +55,34 @@ runWithTrace(const std::string& path, bool incremental,
  */
 TEST(PerfPathTest, IncrementalDecisionTraceByteIdenticalToFullRefit)
 {
-    const std::string fast_path = "/tmp/satori_perf_fast.csv";
-    const std::string full_path = "/tmp/satori_perf_full.csv";
     const std::vector<std::string> mix = {"canneal", "swaptions",
                                           "streamcluster"};
     obs::Observability& o = obs::observability();
     o.resetAll();
     o.setMetricsEnabled(true);
-    const std::string fast = runWithTrace(fast_path, true, mix, 12.0);
+    const auto fast = runRecords(true, mix, 12.0);
     [[maybe_unused]] const std::uint64_t appends =
         o.lib().gp_incremental_updates.value();
     [[maybe_unused]] const std::uint64_t full_fits =
         o.lib().gp_fits.value();
     o.resetAll();
-    const std::string full = runWithTrace(full_path, false, mix, 12.0);
+    const auto full = runRecords(false, mix, 12.0);
     EXPECT_FALSE(fast.empty());
-    EXPECT_EQ(fast, full);
+    EXPECT_EQ(testutil::firstDivergence(fast, full), "");
 #if defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED
     EXPECT_GT(appends, 0u);
     EXPECT_GT(full_fits, 0u);
 #endif
-    std::remove(fast_path.c_str());
-    std::remove(full_path.c_str());
 }
 
 /** Same contract on a second mix with a shorter, pre-settling run. */
 TEST(PerfPathTest, IncrementalTraceMatchesOnSecondMix)
 {
-    const std::string fast_path = "/tmp/satori_perf_fast2.csv";
-    const std::string full_path = "/tmp/satori_perf_full2.csv";
     const std::vector<std::string> mix = {"fluidanimate", "canneal"};
-    const std::string fast = runWithTrace(fast_path, true, mix, 5.0);
-    const std::string full = runWithTrace(full_path, false, mix, 5.0);
+    const auto fast = runRecords(true, mix, 5.0);
+    const auto full = runRecords(false, mix, 5.0);
     EXPECT_FALSE(fast.empty());
-    EXPECT_EQ(fast, full);
-    std::remove(fast_path.c_str());
-    std::remove(full_path.c_str());
+    EXPECT_EQ(testutil::firstDivergence(fast, full), "");
 }
 
 } // namespace

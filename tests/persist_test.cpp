@@ -261,6 +261,62 @@ sampleRecord(std::uint64_t interval)
     return rec;
 }
 
+TEST(IntervalRecordTest, FirstMismatchNamesEachFieldInCausalOrder)
+{
+    const Configuration other({{1, 3}});
+    IntervalRecord base = sampleRecord(3);
+    base.throughput = 0.0; // +0.0: its perturbation below is -0.0
+    base.fairness = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(firstMismatch(base, base), nullptr); // same NaN bits
+
+    struct Case
+    {
+        const char* field;
+        void (*perturb)(IntervalRecord&, const Configuration&);
+    };
+    const Case cases[] = {
+        {"interval", [](IntervalRecord& r, const Configuration&) {
+             ++r.interval;
+         }},
+        {"time", [](IntervalRecord& r, const Configuration&) {
+             r.time = std::nextafter(r.time, 1.0e9);
+         }},
+        {"config", [](IntervalRecord& r, const Configuration& c) {
+             r.config = c;
+         }},
+        {"ips", [](IntervalRecord& r, const Configuration&) {
+             r.ips.pop_back();
+         }},
+        {"speedups", [](IntervalRecord& r, const Configuration&) {
+             r.speedups[1] = std::nextafter(r.speedups[1], 0.0);
+         }},
+        {"throughput", [](IntervalRecord& r, const Configuration&) {
+             r.throughput = -0.0; // == +0.0, but not bitwise
+         }},
+        {"fairness", [](IntervalRecord& r, const Configuration&) {
+             r.fairness = 0.9;
+         }},
+        {"faults", [](IntervalRecord& r, const Configuration&) {
+             r.faults = "spike(j0)";
+         }},
+        {"decision", [](IntervalRecord& r, const Configuration& c) {
+             r.decision = c;
+         }},
+    };
+    for (const Case& c : cases) {
+        IntervalRecord changed = base;
+        c.perturb(changed, other);
+        EXPECT_STREQ(firstMismatch(base, changed), c.field);
+        EXPECT_STREQ(firstMismatch(changed, base), c.field);
+    }
+
+    // Several differences: the causally first one is named.
+    IntervalRecord changed = base;
+    changed.decision = other;
+    changed.ips[0] = 0.0;
+    EXPECT_STREQ(firstMismatch(base, changed), "ips");
+}
+
 TEST(WalTest, RoundTripsRecords)
 {
     const std::string path = "/tmp/satori_persist_wal.bin";
@@ -554,7 +610,8 @@ TEST(CheckpointerTest, DivergentResumeIsFatal)
     }
 
     { // "same" run resumed with a different server seed: the WAL
-      // replay must catch the divergence, never fork silently.
+      // replay must catch the divergence, never fork silently, and
+      // name the first differing field (the seed drives IPS noise).
         sim::SimulatedServer server = harness::makeServer(p, mix, 6);
         auto policy = harness::makePolicy("SATORI", server);
         copt.resume = true;
@@ -567,7 +624,7 @@ TEST(CheckpointerTest, DivergentResumeIsFatal)
                 (void)harness::ExperimentRunner(opt).run(server,
                                                          *policy, "");
             },
-            "resume diverged from the WAL");
+            "resume diverged from the WAL at interval 0: field ips");
     }
     std::filesystem::remove_all(dir);
 }

@@ -21,12 +21,11 @@ namespace satori {
 namespace harness {
 namespace {
 
-TraceRecord
+persist::IntervalRecord
 sampleRecord()
 {
-    TraceRecord rec;
+    persist::IntervalRecord rec;
     rec.time = 1.5;
-    rec.policy = "TestPolicy";
     PlatformSpec p;
     p.addResource(ResourceKind::Cores, 4);
     rec.config = Configuration::equalPartition(p, 2);
@@ -34,6 +33,7 @@ sampleRecord()
     rec.speedups = {0.5, 0.6};
     rec.throughput = 0.55;
     rec.fairness = 0.99;
+    rec.faults = "spike(j0)";
     return rec;
 }
 
@@ -53,8 +53,8 @@ TEST(TraceWriterTest, CsvHasHeaderAndRow)
     const std::string path = "/tmp/satori_trace_test.csv";
     {
         TraceWriter w(path, TraceFormat::Csv);
-        w.write(sampleRecord());
-        w.write(sampleRecord());
+        w.write(sampleRecord(), "TestPolicy");
+        w.write(sampleRecord(), "TestPolicy");
         EXPECT_EQ(w.count(), 2u);
         w.flush();
     }
@@ -63,8 +63,10 @@ TEST(TraceWriterTest, CsvHasHeaderAndRow)
     EXPECT_NE(lines[0].find("time,policy,config"), std::string::npos);
     EXPECT_NE(lines[0].find("ips_0"), std::string::npos);
     EXPECT_NE(lines[0].find("speedup_1"), std::string::npos);
+    EXPECT_NE(lines[0].find(",faults"), std::string::npos);
     EXPECT_NE(lines[1].find("TestPolicy"), std::string::npos);
     EXPECT_NE(lines[1].find("\"[2,2]\""), std::string::npos);
+    EXPECT_NE(lines[1].find(",\"spike(j0)\""), std::string::npos);
     std::remove(path.c_str());
 }
 
@@ -73,7 +75,7 @@ TEST(TraceWriterTest, JsonLinesAreWellFormedObjects)
     const std::string path = "/tmp/satori_trace_test.jsonl";
     {
         TraceWriter w(path, TraceFormat::JsonLines);
-        w.write(sampleRecord());
+        w.write(sampleRecord(), "TestPolicy");
         w.flush();
     }
     const auto lines = linesOf(path);

@@ -544,8 +544,7 @@ main(int argc, char** argv)
         // --- Pacing (wall-clock; lets live scrapers watch the run) ---
         if (args.pace_ms > 0)
             opt.on_interval = [pace = args.pace_ms](
-                                  const sim::IntervalObservation&, double,
-                                  double) {
+                                  const persist::IntervalRecord&) {
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(pace));
             };
