@@ -303,5 +303,19 @@ TEST(IntegrationTest, BaselineDigestIsPinned)
     EXPECT_EQ(hash, kPinned) << "baseline digest is now " << printed;
 }
 
+TEST(IntegrationTest, VanillaDigestIsPinned)
+{
+    // Every decision of SATORI-vanilla (the paper's controller, no
+    // telemetry guard, actuation retry or degraded fallback) on the
+    // power-cap platform under the escalating fault preset, hashed
+    // like DecisionDigestIsPinned, which runs only the hardened path.
+    constexpr std::uint64_t kPinned = 0xff5cd4cbd614d56bULL;
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    digestRun("SATORI-vanilla", true, hash);
+    char printed[32];
+    std::snprintf(printed, sizeof printed, "0x%016" PRIx64 "ULL", hash);
+    EXPECT_EQ(hash, kPinned) << "vanilla digest is now " << printed;
+}
+
 } // namespace
 } // namespace satori

@@ -7,7 +7,9 @@
  * exercises appends, window trims, settling, and baseline resets.
  */
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,35 @@ runRecords(bool incremental, const std::vector<std::string>& mix,
 }
 
 /**
+ * 64-bit FNV-1a over every record's encoding: every IntervalRecord
+ * field, doubles bitwise.
+ */
+std::uint64_t
+recordsDigest(const std::vector<persist::IntervalRecord>& records)
+{
+    persist::StateWriter w;
+    for (const persist::IntervalRecord& rec : records)
+        rec.encode(w);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char ch : w.bytes()) {
+        hash ^= static_cast<unsigned char>(ch);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** EXPECT that @p records hash to @p pinned, printing the new value. */
+void
+expectDigest(const std::vector<persist::IntervalRecord>& records,
+             std::uint64_t pinned)
+{
+    const std::uint64_t hash = recordsDigest(records);
+    char printed[32];
+    std::snprintf(printed, sizeof printed, "0x%016" PRIx64 "ULL", hash);
+    EXPECT_EQ(hash, pinned) << "record digest is now " << printed;
+}
+
+/**
  * The load-bearing test for EngineOptions::incremental: every
  * per-interval record (time, config, per-job IPS and speedups,
  * metrics, decision) must match the full-refit path bit for bit.
@@ -67,6 +98,7 @@ TEST(PerfPathTest, IncrementalDecisionTraceByteIdenticalToFullRefit)
         o.lib().gp_fits.value();
     o.resetAll();
     const auto full = runRecords(false, mix, 12.0);
+    expectDigest(full, 0x9b9c53cdf1db6139ULL);
     EXPECT_FALSE(fast.empty());
     EXPECT_EQ(testutil::firstDivergence(fast, full), "");
 #if defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED
@@ -81,6 +113,7 @@ TEST(PerfPathTest, IncrementalTraceMatchesOnSecondMix)
     const std::vector<std::string> mix = {"fluidanimate", "canneal"};
     const auto fast = runRecords(true, mix, 5.0);
     const auto full = runRecords(false, mix, 5.0);
+    expectDigest(full, 0x2773c1526f65ec5eULL);
     EXPECT_FALSE(fast.empty());
     EXPECT_EQ(testutil::firstDivergence(fast, full), "");
 }
