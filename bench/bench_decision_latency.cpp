@@ -5,17 +5,20 @@
  * and the candidate set grow, on the engine's one decision path and
  * on an emulation of the behavior it replaced:
  *
- *   full - the pre-optimization behavior (EngineOptions::incremental
- *          = false: every update refactorizes from scratch, O(n^3))
- *          with the acquisition loop predicting one candidate at a
- *          time, exactly as suggestIndex() used to;
- *   fast - the incremental default (rank-1 Cholesky appends, O(n^2))
- *          with one batched suggestIndex() pass.
+ *   full - the pre-optimization behavior: every update refactorizes
+ *          from scratch, O(n^3) (a fresh engine's first setSamples()
+ *          is exactly that full fit), with the acquisition loop
+ *          predicting one candidate at a time, as suggestIndex() used
+ *          to;
+ *   fast - the engine's path: a rank-1 Cholesky append, O(n^2), with
+ *          one batched suggestIndex() pass.
  *
- * Every cell builds a fresh engine per trial, fits the first n-1
- * samples, and times one decision interval at exactly n samples:
- * setSamples() with all n samples (the controller's append shape),
- * then acquisition. The controller's own interval, with its real
+ * Every cell builds a fresh engine per trial and times one decision
+ * interval at exactly n samples: setSamples() with all n samples,
+ * then acquisition. The fast path first fits the first n-1 samples,
+ * so the timed call is the controller's append shape. No cell fits
+ * often enough to reach the engine's periodic length-scale grid
+ * refit. The controller's own interval, with its real
  * shapes, is measured by bench/interval; this bench explains the GP
  * layer's share of it.
  *
@@ -111,22 +114,12 @@ syntheticTarget(const RealVec& x, Rng& rng)
     return -d2 + 0.05 * rng.gaussian();
 }
 
-bo::EngineOptions
-engineOptions(const std::string& path)
-{
-    bo::EngineOptions opt;
-    opt.length_scale_grid.clear(); // isolate the per-update fit cost
-    if (path == "full")
-        opt.incremental = false;
-    return opt;
-}
-
 /**
  * One timed decision interval at sample count @p n: setSamples() with
- * the n-th sample appended (fit) and maximize acquisition over the
- * candidate set. The
- * full path emulates the pre-optimization engine exactly: full refit
- * plus one predict() per candidate.
+ * all n samples (fit), then maximize acquisition over the candidate
+ * set. The fast path times the append of the n-th sample; the full
+ * path emulates the pre-optimization engine exactly: a full fit plus
+ * one predict() per candidate.
  */
 void
 runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats)
@@ -145,12 +138,13 @@ runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats)
     for (std::size_t c = 0; c < cell.candidates; ++c)
         candidates.push_back(randomInput(rng));
 
-    bo::BoEngine engine(engineOptions(cell.path));
-    std::vector<RealVec> warm(inputs.begin(), inputs.end() - 1);
-    std::vector<double> warm_y(targets.begin(), targets.end() - 1);
-    engine.setSamples(warm, warm_y);
-
     const bool full = std::strcmp(cell.path, "full") == 0;
+    bo::BoEngine engine;
+    if (!full) {
+        std::vector<RealVec> warm(inputs.begin(), inputs.end() - 1);
+        std::vector<double> warm_y(targets.begin(), targets.end() - 1);
+        engine.setSamples(warm, warm_y);
+    }
     const std::uint64_t t0 = obs::steadyNowNs();
     engine.setSamples(inputs, targets);
     const std::uint64_t t1 = obs::steadyNowNs();

@@ -30,17 +30,16 @@ namespace bo {
  */
 struct CandidateOptions
 {
-    /** Include the structured "good" seed configurations. */
-    bool include_seeds = true;
-
     /**
-     * Include concentration candidates: for every (job, resource)
-     * pair, variants of the equal partition that hand that job a
-     * half or maximal share of that resource. These cover the
+     * Include the structured candidates: the "good" seed
+     * configurations and the concentration set (for every (job,
+     * resource) pair, variants of the equal partition that hand that
+     * job a half or maximal share of that resource, covering the
      * working-set-cliff regimes that unit-step neighborhoods and
-     * uniform sampling rarely reach.
+     * uniform sampling rarely reach). SATORI includes them; CLITE
+     * explores with uniform candidates only.
      */
-    bool include_concentrated = true;
+    bool include_structured = true;
 };
 
 /**
@@ -67,8 +66,8 @@ class CandidateGenerator
 
     /**
      * One round of candidates: random samples, all one-unit neighbors
-     * of @p incumbent, seeds and the concentration set (the last two
-     * if enabled), deduplicated by rank.
+     * of @p incumbent, then (if include_structured) the seeds and the
+     * concentration set, deduplicated by rank.
      */
     [[nodiscard]] std::vector<Configuration> generate(const Configuration& incumbent,
                                         Rng& rng) const;

@@ -25,39 +25,6 @@ class StateReader;
 namespace bo {
 
 /**
- * Engine configuration knobs. The GP noise variance, the initial
- * length scale and the EI exploration bonus are fixed constants of
- * engine.cpp and acquisition.cpp.
- */
-struct EngineOptions
-{
-    /**
-     * Defined in engine.cpp: an inline default constructor lets GCC 12
-     * flag the grid vector of every defaulted SatoriOptions temporary
-     * as maybe-uninitialized (a false positive) at each call site.
-     */
-    EngineOptions();
-
-    /**
-     * Length scales to try during periodic marginal-likelihood grid
-     * refits; empty disables adaptation.
-     */
-    std::vector<double> length_scale_grid = {0.2, 0.35, 0.5, 0.75, 1.0};
-
-    /** Run the grid refit every this many fits (0 = never). */
-    std::size_t grid_refit_period = 20;
-
-    /**
-     * Use the O(n^2) incremental GP path (a rank-1 factor append when
-     * setSamples extends the fitted set by one sample). Results are
-     * bit-identical to the full-refit path; false restores the
-     * O(n^3)-per-update behavior and exists so tests can pin that
-     * equivalence.
-     */
-    bool incremental = true;
-};
-
-/**
  * A Bayesian-optimization engine over real-vector inputs.
  *
  * Inputs are share-normalized configuration vectors; targets are the
@@ -68,14 +35,14 @@ struct EngineOptions
 class BoEngine
 {
   public:
-    explicit BoEngine(EngineOptions options = {});
+    BoEngine();
 
     /**
      * Replace the full training set and refit the proxy model
-     * (SATORI's reconstruction path). Every grid_refit_period-th call
-     * refits over the length-scale grid; otherwise the GP's
-     * incremental fit takes the rank-1 append when the set grew by
-     * one sample. @pre equal non-zero sizes.
+     * (SATORI's reconstruction path). Every 20th call refits over a
+     * fixed length-scale grid (once 8 samples exist); otherwise the
+     * GP's incremental fit takes the rank-1 append when the set grew
+     * by one sample. @pre equal non-zero sizes.
      */
     void setSamples(const std::vector<RealVec>& inputs,
                     const std::vector<double>& targets);
@@ -105,9 +72,6 @@ class BoEngine
     /** Number of training samples currently fitted. */
     [[nodiscard]] std::size_t numSamples() const { return gp_.numSamples(); }
 
-    /** The options in force. */
-    [[nodiscard]] const EngineOptions& options() const { return options_; }
-
     /**
      * Serialize a deterministic refit recipe: the training set, the
      * fitted kernel length scale, and the grid-refit phase. The GP
@@ -116,11 +80,10 @@ class BoEngine
      */
     void saveState(persist::StateWriter& w) const;
 
-    /** Restore an engine saved by saveState (same options required). */
+    /** Restore an engine saved by saveState. */
     void restoreState(persist::StateReader& r);
 
   private:
-    EngineOptions options_;
     GaussianProcess gp_;
     std::size_t fits_since_grid_ = 0;
 

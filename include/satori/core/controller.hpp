@@ -37,54 +37,17 @@ enum class GoalMode
 [[nodiscard]] std::string goalModeName(GoalMode mode);
 
 /**
- * Hardening against unreliable telemetry and actuation (none of this
- * exists in the paper; it is what an online deployment needs when its
- * pqos/CAT/MBA substrate misbehaves).
- */
-struct ResilienceOptions
-{
-    /** Telemetry validation/repair in front of every decide(). */
-    TelemetryGuardOptions guard;
-
-    /**
-     * Actuation verification: when the configuration observed in
-     * force (IntervalObservation::config) is not the one last
-     * requested, re-issue the request up to this many consecutive
-     * times before adopting the observed configuration as the
-     * operating point. 0 disables verification.
-     */
-    std::size_t actuation_retry = 3;
-
-    /**
-     * Degraded mode: after this many consecutive unusable telemetry
-     * intervals, fall back to the equal partition and freeze all GP /
-     * weight / goal-record updates until 3 consecutive healthy
-     * intervals end it. 0 disables the fallback.
-     */
-    std::size_t degraded_after = 10;
-
-    /** Everything off: the paper's original (vanilla) controller. */
-    [[nodiscard]] static ResilienceOptions vanilla()
-    {
-        ResilienceOptions r;
-        r.guard.enabled = false;
-        r.actuation_retry = 0;
-        r.degraded_after = 0;
-        return r;
-    }
-};
-
-/**
  * Everything tunable about a SATORI instance. The Sec. V convergence
  * and reactivation constants (probe count, warm-up seed budget,
- * minimum samples before settling, burst cap, reactivation threshold,
- * samples kept on reactivation) are fixed in controller.cpp.
+ * minimum samples before settling, stall and burst limits,
+ * reactivation threshold, samples kept on reactivation) and the
+ * hardening constants (actuation retries, degraded-mode entry and
+ * exit) are fixed in controller.cpp.
  */
 struct SatoriOptions
 {
     GoalMode mode = GoalMode::Balanced;
     WeightOptions weights;
-    bo::EngineOptions engine;
     bo::CandidateOptions candidates;
     ObjectiveSpec objective;
 
@@ -95,15 +58,6 @@ struct SatoriOptions
     std::uint64_t seed = 7;
 
     /**
-     * Convergence detection (Sec. V): once the best balanced
-     * objective has not improved for this many iterations, SATORI
-     * settles on the incumbent configuration and stops updating the
-     * GP ("avoiding frequent updates to the GP model after the
-     * optimal configuration detection"). 0 disables settling.
-     */
-    std::size_t stall_intervals = 12;
-
-    /**
      * Uncertainty discount applied when selecting the incumbent or
      * the settle configuration from noisy records: score = mean -
      * kappa / sqrt(effective evaluations). Guards against settling on
@@ -111,8 +65,15 @@ struct SatoriOptions
      */
     double incumbent_kappa = 0.04;
 
-    /** Telemetry/actuation hardening (on by default). */
-    ResilienceOptions resilience;
+    /**
+     * Hardening against unreliable telemetry and actuation (none of
+     * it is in the paper; an online deployment needs it when its
+     * pqos/CAT/MBA substrate misbehaves): the telemetry guard in
+     * front of every decide(), actuation verification with bounded
+     * re-issue, and the degraded equal-partition fallback. false is
+     * the paper's original controller (SATORI-vanilla).
+     */
+    bool hardened = true;
 };
 
 /** Per-iteration internals exposed for the paper's analysis figures. */

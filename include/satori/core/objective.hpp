@@ -80,9 +80,6 @@ class ObjectiveSpec
     [[nodiscard]] static double combine(const std::vector<double>& weights,
                           const std::vector<double>& goals);
 
-    /** Throughput metric in use. */
-    [[nodiscard]] ThroughputMetric throughputMetric() const { return tmetric_; }
-
     /** Fairness metric in use. */
     [[nodiscard]] FairnessMetric fairnessMetric() const { return fmetric_; }
 

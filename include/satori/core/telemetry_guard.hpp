@@ -42,13 +42,6 @@ class StateReader;
 namespace satori {
 namespace core {
 
-/** Tuning knobs of the telemetry guard. */
-struct TelemetryGuardOptions
-{
-    /** Master switch; off reproduces the unguarded (vanilla) path. */
-    bool enabled = true;
-};
-
 /** Per-interval verdict of the guard. */
 enum class SampleHealth
 {
@@ -74,22 +67,17 @@ struct TelemetryGuardStats
 class TelemetryGuard
 {
   public:
-    TelemetryGuard(std::size_t num_jobs,
-                   TelemetryGuardOptions options = {});
+    explicit TelemetryGuard(std::size_t num_jobs);
 
     /**
      * Validate @p obs in place. Bad per-job IPS values are replaced
      * with the job's last good value while the staleness budget
-     * lasts. With the guard disabled, always returns Healthy and
-     * leaves @p obs untouched.
+     * lasts.
      */
     SampleHealth filter(IntervalObservation& obs);
 
     /** Cumulative activity counters. */
     [[nodiscard]] const TelemetryGuardStats& stats() const { return stats_; }
-
-    /** The options in force. */
-    [[nodiscard]] const TelemetryGuardOptions& options() const { return options_; }
 
     /** Forget all history (controller reset). */
     void reset();
@@ -117,7 +105,6 @@ class TelemetryGuard
     void accept(JobHistory& h, double value);
 
     std::size_t num_jobs_;
-    TelemetryGuardOptions options_;
     std::vector<JobHistory> jobs_;
     std::vector<Ips> last_good_iso_;
     /** Config of the previous interval: an allocation change moves

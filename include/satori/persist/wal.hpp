@@ -126,15 +126,11 @@ class WalWriter
      */
     void appendTorn(const IntervalRecord& record);
 
-    /** Bytes appended so far (including the header for fresh WALs). */
-    [[nodiscard]] std::uint64_t bytesWritten() const { return bytes_; }
-
   private:
-    WalWriter(std::FILE* file, std::string path, std::uint64_t bytes);
+    WalWriter(std::FILE* file, std::string path);
 
     std::FILE* file_;
     std::string path_;
-    std::uint64_t bytes_;
 };
 
 } // namespace persist

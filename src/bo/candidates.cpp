@@ -63,11 +63,9 @@ CandidateGenerator::generate(const Configuration& incumbent, Rng& rng) const
         push_unique(space_.sample(rng));
     for (auto& n : space_.neighbors(incumbent))
         push_unique(std::move(n));
-    if (options_.include_seeds) {
+    if (options_.include_structured) {
         for (auto& s : seedConfigurations())
             push_unique(std::move(s));
-    }
-    if (options_.include_concentrated) {
         for (auto& c : concentratedConfigurations())
             push_unique(std::move(c));
     }

@@ -19,13 +19,18 @@ constexpr double kNoiseVariance = 0.05;
 /** Initial Matern 5/2 length scale on share-normalized inputs. */
 constexpr double kLengthScale = 0.5;
 
+/** Length scales tried by the periodic marginal-likelihood refit. */
+const std::vector<double> kLengthScaleGrid = {0.2, 0.35, 0.5, 0.75, 1.0};
+
+/** Every this many fits is a grid refit. */
+constexpr std::size_t kGridRefitPeriod = 20;
+
+/** Samples needed before a grid refit is attempted. */
+constexpr std::size_t kGridMinSamples = 8;
+
 } // namespace
 
-EngineOptions::EngineOptions() = default;
-
-BoEngine::BoEngine(EngineOptions options)
-    : options_(std::move(options)),
-      gp_(Matern52Kernel(kLengthScale), kNoiseVariance)
+BoEngine::BoEngine() : gp_(Matern52Kernel(kLengthScale), kNoiseVariance)
 {
 }
 
@@ -40,17 +45,11 @@ BoEngine::setSamples(const std::vector<RealVec>& inputs,
     SATORI_OBS_SPAN("bo.fit");
     SATORI_OBS_METRIC(bo_fits.inc());
     ++fits_since_grid_;
-    const bool use_grid = !options_.length_scale_grid.empty() &&
-                          options_.grid_refit_period > 0 &&
-                          fits_since_grid_ >= options_.grid_refit_period &&
-                          inputs.size() >= 8;
-    if (use_grid) {
+    if (fits_since_grid_ >= kGridRefitPeriod &&
+        inputs.size() >= kGridMinSamples) {
         SATORI_OBS_METRIC(bo_grid_refits.inc());
-        gp_.fitWithLengthScaleGrid(inputs, targets,
-                                   options_.length_scale_grid);
+        gp_.fitWithLengthScaleGrid(inputs, targets, kLengthScaleGrid);
         fits_since_grid_ = 0;
-    } else if (!options_.incremental) {
-        gp_.fit(inputs, targets);
     } else {
         gp_.fitIncremental(inputs, targets);
     }

@@ -40,12 +40,36 @@ constexpr double kReactivateThreshold = 0.08;
 constexpr std::size_t kReactivateKeepSamples = 30;
 
 /**
+ * Convergence detection (Sec. V): once the best balanced objective
+ * has not improved for this many exploring iterations, SATORI settles
+ * on the incumbent configuration and stops updating the GP ("avoiding
+ * frequent updates to the GP model after the optimal configuration
+ * detection").
+ */
+constexpr std::size_t kStallIntervals = 12;
+
+/**
  * Hard cap on an exploration burst: after this many exploring
  * iterations SATORI settles on the best configuration found so far
  * even if the search was still improving, bounding the time jobs
  * spend under speculative configurations.
  */
 constexpr std::size_t kBurstMaxIntervals = 20;
+
+/**
+ * Actuation verification: when the configuration observed in force
+ * (IntervalObservation::config) is not the one last requested,
+ * re-issue the request up to this many consecutive times before
+ * adopting the observed configuration as the operating point.
+ */
+constexpr std::size_t kActuationRetry = 3;
+
+/**
+ * Degraded mode: after this many consecutive unusable telemetry
+ * intervals, fall back to the equal partition and freeze all GP /
+ * weight / goal-record updates.
+ */
+constexpr std::size_t kDegradedAfter = 10;
 
 /** Consecutive healthy intervals that end degraded mode. */
 constexpr std::size_t kRecoverAfter = 3;
@@ -72,10 +96,10 @@ SatoriController::SatoriController(const PlatformSpec& platform,
                                    std::size_t num_jobs,
                                    SatoriOptions options)
     : options_(std::move(options)), space_(platform, num_jobs),
-      candgen_(space_, options_.candidates), engine_(options_.engine),
+      candgen_(space_, options_.candidates),
       recorder_(options_.objective.numGoals(), options_.window),
       weight_controller_(options_.weights), rng_(options_.seed),
-      guard_(num_jobs, options_.resilience.guard),
+      guard_(num_jobs),
       equal_config_(Configuration::equalPartition(platform, num_jobs))
 {
     seeds_ = candgen_.seedConfigurations();
@@ -173,10 +197,11 @@ SatoriController::decide(const IntervalObservation& raw_obs)
 
     // Telemetry validation: repair or reject the observation before
     // any of its values can reach the recorder, the weight clock, or
-    // the GP. With resilience disabled this is a no-op and the method
-    // reduces to Algorithm 1 exactly.
+    // the GP. Unhardened, every interval counts as healthy and the
+    // method reduces to Algorithm 1 exactly.
     IntervalObservation obs = raw_obs;
-    const SampleHealth health = guard_.filter(obs);
+    const SampleHealth health =
+        options_.hardened ? guard_.filter(obs) : SampleHealth::Healthy;
     if (health == SampleHealth::Unusable) {
         ++unusable_streak_;
         healthy_streak_ = 0;
@@ -207,8 +232,7 @@ SatoriController::decide(const IntervalObservation& raw_obs)
             emitObsAudit(obs, health, equal_config_, "degraded");
             return equal_config_;
         }
-    } else if (options_.resilience.degraded_after > 0 &&
-               unusable_streak_ >= options_.resilience.degraded_after) {
+    } else if (unusable_streak_ >= kDegradedAfter) {
         degraded_ = true;
         ++diagnostics_.degraded_entries;
         diagnostics_.degraded = true;
@@ -238,13 +262,12 @@ SatoriController::decide(const IntervalObservation& raw_obs)
     // times before accepting reality. The interval is still recorded
     // (it is a true sample of obs.config) and the weight clock still
     // advances.
-    if (options_.resilience.actuation_retry > 0 && has_expected_) {
+    if (options_.hardened && has_expected_) {
         if (obs.config == expected_config_) {
             actuation_retries_ = 0;
         } else {
             ++diagnostics_.actuation_mismatches;
-            if (actuation_retries_ <
-                options_.resilience.actuation_retry) {
+            if (actuation_retries_ < kActuationRetry) {
                 ++actuation_retries_;
                 ++diagnostics_.actuation_retries;
                 recordOnly(obs);
@@ -399,8 +422,7 @@ SatoriController::decideCore(const IntervalObservation& obs)
     // (3b) Settle on the incumbent best once the search has stalled
     // or the burst budget is exhausted (Sec. V: stop GP updates after
     // optimal-configuration detection).
-    const bool stalled = options_.stall_intervals > 0 &&
-                         stall_counter_ >= options_.stall_intervals;
+    const bool stalled = stall_counter_ >= kStallIntervals;
     const bool burst_spent = burst_len_ >= kBurstMaxIntervals;
     if ((stalled || burst_spent) &&
         recorder_.size() >= kMinExploreSamples) {
@@ -485,7 +507,7 @@ SatoriController::emitObsAudit(const IntervalObservation& observation,
     rec.policy = goalModeName(options_.mode);
     rec.observed_ips.assign(observation.ips.begin(),
                             observation.ips.end());
-    if (!options_.resilience.guard.enabled) {
+    if (!options_.hardened) {
         rec.guard_verdict = "off";
     } else {
         switch (health) {
@@ -546,7 +568,7 @@ SatoriController::reset()
     decide_calls_ = 0;
     last_outcome_ = "";
     diagnostics_ = SatoriDiagnostics{};
-    engine_ = bo::BoEngine(options_.engine);
+    engine_ = bo::BoEngine();
 }
 
 void

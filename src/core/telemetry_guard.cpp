@@ -54,9 +54,8 @@ medianOf(std::vector<double> v)
 
 } // namespace
 
-TelemetryGuard::TelemetryGuard(std::size_t num_jobs,
-                               TelemetryGuardOptions options)
-    : num_jobs_(num_jobs), options_(options), jobs_(num_jobs)
+TelemetryGuard::TelemetryGuard(std::size_t num_jobs)
+    : num_jobs_(num_jobs), jobs_(num_jobs)
 {
     SATORI_ASSERT(num_jobs_ >= 1);
 }
@@ -78,8 +77,6 @@ TelemetryGuard::accept(JobHistory& h, double value)
 SampleHealth
 TelemetryGuard::filter(IntervalObservation& obs)
 {
-    if (!options_.enabled)
-        return SampleHealth::Healthy;
     ++stats_.intervals;
 
     // A wrong-shape observation cannot be attributed to jobs at all:

@@ -59,7 +59,7 @@ makePolicy(const std::string& name, const sim::SimulatedServer& server,
             // The paper's controller without the resilience layer:
             // the baseline bench_fault_resilience degrades.
             satori_options.mode = core::GoalMode::Balanced;
-            satori_options.resilience = core::ResilienceOptions::vanilla();
+            satori_options.hardened = false;
         } else if (name == "SATORI-static")
             satori_options.mode = core::GoalMode::StaticEqual;
         else if (name == "Throughput-SATORI")

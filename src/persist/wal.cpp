@@ -189,15 +189,13 @@ readWal(const std::string& path, std::uint32_t fingerprint_crc)
     return result;
 }
 
-WalWriter::WalWriter(std::FILE* file, std::string path,
-                     std::uint64_t bytes)
-    : file_(file), path_(std::move(path)), bytes_(bytes)
+WalWriter::WalWriter(std::FILE* file, std::string path)
+    : file_(file), path_(std::move(path))
 {
 }
 
 WalWriter::WalWriter(WalWriter&& other) noexcept
-    : file_(other.file_), path_(std::move(other.path_)),
-      bytes_(other.bytes_)
+    : file_(other.file_), path_(std::move(other.path_))
 {
     other.file_ = nullptr;
 }
@@ -221,7 +219,7 @@ WalWriter::create(const std::string& path, std::uint32_t fingerprint_crc)
         SATORI_FATAL("cannot write WAL header: " + path + ": " +
                      errnoText());
     }
-    return WalWriter(f, path, header.size());
+    return WalWriter(f, path);
 }
 
 WalWriter
@@ -235,7 +233,7 @@ WalWriter::resume(const std::string& path, std::uint64_t valid_bytes)
     std::FILE* f = std::fopen(path.c_str(), "ab");
     if (f == nullptr)
         SATORI_FATAL("cannot reopen WAL: " + path + ": " + errnoText());
-    return WalWriter(f, path, valid_bytes);
+    return WalWriter(f, path);
 }
 
 void
@@ -246,7 +244,6 @@ WalWriter::append(const IntervalRecord& record)
             frame.size() ||
         std::fflush(file_) != 0)
         SATORI_FATAL("WAL append failed: " + path_ + ": " + errnoText());
-    bytes_ += frame.size();
 }
 
 void
@@ -258,7 +255,6 @@ WalWriter::appendTorn(const IntervalRecord& record)
         std::fflush(file_) != 0)
         SATORI_FATAL("WAL torn append failed: " + path_ + ": " +
                      errnoText());
-    bytes_ += cut;
 }
 
 } // namespace persist

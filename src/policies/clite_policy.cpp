@@ -34,15 +34,9 @@ constexpr std::uint64_t kSeed = 19;
 ClitePolicy::ClitePolicy(const PlatformSpec& platform,
                          std::size_t num_jobs)
     : space_(platform, num_jobs),
-      candgen_(space_,
-               [] {
-                   bo::CandidateOptions c;
-                   // CLITE explores with uniform candidates only -
-                   // no structured seeds or concentration sets.
-                   c.include_seeds = false;
-                   c.include_concentrated = false;
-                   return c;
-               }()),
+      // CLITE explores with uniform candidates only - no structured
+      // seeds or concentration sets.
+      candgen_(space_, bo::CandidateOptions{false}),
       rng_(kSeed), init_left_(kInitSamples)
 {
 }

@@ -306,19 +306,16 @@ TEST(GpIncrementalTest, GridFitCachingMatchesDirectBestFit)
     expectMatchesFreshFit(grid_gp, xs, ys, 1e-4, rng, "grid append");
 }
 
-TEST(EngineIncrementalTest, IncrementalToggleDoesNotChangeSuggestions)
+TEST(EngineIncrementalTest, RestoredFullFitMatchesLiveSuggestions)
 {
-    // The engine-level pin: the training-set shapes the controller
-    // feeds (appends, a sliding full window, a reactivation trim) give
-    // identical suggestions and predictions with the fast path on and
-    // off.
+    // The engine-level pin: over the training-set shapes the
+    // controller feeds (appends, a sliding full window, a reactivation
+    // trim, a grid refit every 20th fit), the live engine's
+    // incremental state gives the same suggestions and predictions as
+    // a fresh engine restored from its saveState, which runs one full
+    // fit of the whole training set.
     Rng rng(2718);
-    bo::EngineOptions fast_opt;
-    fast_opt.incremental = true;
-    bo::EngineOptions slow_opt = fast_opt;
-    slow_opt.incremental = false;
-    BoEngine fast(fast_opt);
-    BoEngine slow(slow_opt);
+    BoEngine live;
 
     std::vector<RealVec> candidates;
     for (int c = 0; c < 24; ++c)
@@ -327,15 +324,19 @@ TEST(EngineIncrementalTest, IncrementalToggleDoesNotChangeSuggestions)
     std::vector<RealVec> xs;
     std::vector<double> ys;
     const auto step = [&](const std::string& what) {
-        fast.setSamples(xs, ys);
-        slow.setSamples(xs, ys);
-        EXPECT_EQ(fast.suggestIndex(candidates),
-                  slow.suggestIndex(candidates))
+        live.setSamples(xs, ys);
+        persist::StateWriter w;
+        live.saveState(w);
+        persist::StateReader r(w.bytes(), "engine-full-fit");
+        BoEngine refit;
+        refit.restoreState(r);
+        EXPECT_EQ(live.suggestIndex(candidates),
+                  refit.suggestIndex(candidates))
             << what;
-        const auto pf = fast.predict(candidates[0]);
-        const auto ps = slow.predict(candidates[0]);
-        EXPECT_EQ(pf.mean, ps.mean) << what;
-        EXPECT_EQ(pf.variance, ps.variance) << what;
+        const auto pl = live.predict(candidates[0]);
+        const auto pr = refit.predict(candidates[0]);
+        EXPECT_EQ(pl.mean, pr.mean) << what;
+        EXPECT_EQ(pl.variance, pr.variance) << what;
     };
     for (int i = 0; i < 30; ++i) {
         xs.push_back(randomPoint(rng, 3));
@@ -531,9 +532,7 @@ TEST(EngineTest, StateRoundTripsThroughPersist)
     std::vector<double> cys;
     makeDataset(60, 2, 97, candidates, cys);
 
-    EngineOptions options;
-    options.length_scale_grid.clear();
-    BoEngine engine(options);
+    BoEngine engine;
     for (std::size_t n = 20; n <= xs.size(); ++n)
         engine.setSamples({xs.begin(), xs.begin() + n},
                           {ys.begin(), ys.begin() + n});
@@ -541,7 +540,7 @@ TEST(EngineTest, StateRoundTripsThroughPersist)
     persist::StateWriter w;
     engine.saveState(w);
     persist::StateReader r(w.bytes(), "engine-roundtrip");
-    BoEngine restored(options);
+    BoEngine restored;
     restored.restoreState(r);
     EXPECT_EQ(restored.numSamples(), engine.numSamples());
     EXPECT_DOUBLE_EQ(restored.bestObserved(), engine.bestObserved());

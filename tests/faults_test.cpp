@@ -416,9 +416,7 @@ TEST(FaultResilienceTest, DegradedModeEngagesAndRecovers)
     auto mix = testMix();
     sim::SimulatedServer server =
         harness::makeServer(testPlatform(), mix, 11);
-    core::SatoriOptions options;
-    options.resilience.degraded_after = 5;
-    auto policy = harness::makePolicy("SATORI", server, options);
+    auto policy = harness::makePolicy("SATORI", server);
     auto* satori =
         dynamic_cast<core::SatoriController*>(policy.get());
     ASSERT_NE(satori, nullptr);
@@ -457,6 +455,32 @@ TEST(FaultResilienceTest, ActuationRetryReconverges)
     EXPECT_GT(satori->diagnostics().actuation_mismatches, 0u);
     EXPECT_GT(satori->diagnostics().actuation_retries, 0u);
     EXPECT_GT(result.mean_throughput, 0.0);
+}
+
+TEST(FaultResilienceTest, VanillaBypassesGuardAndRetry)
+{
+    // SATORI-vanilla is the paper's controller: the same dropped
+    // actuations neither reach the telemetry guard nor trigger a
+    // re-issue.
+    auto mix = testMix();
+    sim::SimulatedServer server =
+        harness::makeServer(testPlatform(), mix, 11);
+    auto policy = harness::makePolicy("SATORI-vanilla", server);
+    auto* satori =
+        dynamic_cast<core::SatoriController*>(policy.get());
+    ASSERT_NE(satori, nullptr);
+
+    FaultInjector injector(FaultPlan::parse("noact 10..30 p=0.7\n"), 3);
+    harness::ExperimentOptions opt;
+    opt.duration = 8.0;
+    opt.faults = &injector;
+    const harness::ExperimentRunner runner(opt);
+    (void)runner.run(server, *policy, mix.label);
+
+    EXPECT_GT(injector.stats().actuations_dropped, 0u);
+    EXPECT_EQ(satori->telemetryGuard().stats().intervals, 0u);
+    EXPECT_EQ(satori->diagnostics().actuation_mismatches, 0u);
+    EXPECT_EQ(satori->diagnostics().actuation_retries, 0u);
 }
 
 #ifdef SATORI_AUDIT_ENABLED

@@ -313,42 +313,6 @@ TEST(CholeskyUpdateTest, SpdFailureLeavesFactorUntouched)
     EXPECT_EQ(recovered.factor().rows(), 4u);
 }
 
-TEST(CholeskyMultiSolveTest, MatchesLoopedSolveLowerBitwise)
-{
-    Rng rng(9090);
-    const std::size_t n = 15;
-    const std::size_t m = 7;
-    const Matrix a = randomSpd(n, rng, double(n));
-    const Cholesky chol(a);
-
-    Matrix b(m, n);
-    for (std::size_t r = 0; r < m; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-            b(r, c) = rng.uniform(-3.0, 3.0);
-
-    const Matrix multi = chol.solveLowerMulti(b);
-    ASSERT_EQ(multi.rows(), m);
-    ASSERT_EQ(multi.cols(), n);
-    for (std::size_t r = 0; r < m; ++r) {
-        std::vector<double> rhs(n);
-        for (std::size_t c = 0; c < n; ++c)
-            rhs[c] = b(r, c);
-        const auto single = chol.solveLower(rhs);
-        for (std::size_t c = 0; c < n; ++c)
-            EXPECT_EQ(multi(r, c), single[c]) << r << "," << c;
-    }
-
-    // The into-variant reuses storage and holds the same solutions
-    // transposed (columns).
-    Matrix out;
-    chol.solveLowerMultiInto(b, out);
-    ASSERT_EQ(out.rows(), n);
-    ASSERT_EQ(out.cols(), m);
-    for (std::size_t r = 0; r < m; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-            EXPECT_EQ(out(c, r), multi(r, c));
-}
-
 TEST(CholeskySolveVariantsTest, InterleavedSolveLowerMatchesNaiveBitwise)
 {
     // solveLower runs 8-row interleaved blocks; its contract is
@@ -377,27 +341,34 @@ TEST(CholeskySolveVariantsTest, InterleavedSolveLowerMatchesNaiveBitwise)
     }
 }
 
-TEST(CholeskySolveVariantsTest, TransposedMultiSolveMatchesInto)
+TEST(CholeskySolveVariantsTest, TransposedMultiSolveMatchesSolveLowerBitwise)
 {
+    // Column c of the multi-solve is solveLower(column c of bt), bit
+    // for bit, and an output of the right shape keeps its storage.
     Rng rng(6600);
     const std::size_t n = 13;
     const std::size_t m = 9;
     const Matrix a = randomSpd(n, rng, double(n));
     const Cholesky chol(a);
-    Matrix b(m, n);
-    for (std::size_t r = 0; r < m; ++r)
-        for (std::size_t c = 0; c < n; ++c)
-            b(r, c) = rng.uniform(-3.0, 3.0);
-
-    Matrix out_ref;
-    chol.solveLowerMultiInto(b, out_ref);
-    Matrix out_t;
-    chol.solveLowerMultiTransposedInto(b.transposed(), out_t);
-    ASSERT_EQ(out_t.rows(), n);
-    ASSERT_EQ(out_t.cols(), m);
+    Matrix bt(n, m);
     for (std::size_t r = 0; r < n; ++r)
         for (std::size_t c = 0; c < m; ++c)
-            EXPECT_EQ(out_t(r, c), out_ref(r, c));
+            bt(r, c) = rng.uniform(-3.0, 3.0);
+
+    Matrix out(n, m);
+    const double* storage = out.rowPtr(0);
+    chol.solveLowerMultiTransposedInto(bt, out);
+    ASSERT_EQ(out.rows(), n);
+    ASSERT_EQ(out.cols(), m);
+    EXPECT_EQ(out.rowPtr(0), storage);
+    for (std::size_t c = 0; c < m; ++c) {
+        std::vector<double> rhs(n);
+        for (std::size_t r = 0; r < n; ++r)
+            rhs[r] = bt(r, c);
+        const auto single = chol.solveLower(rhs);
+        for (std::size_t r = 0; r < n; ++r)
+            EXPECT_EQ(out(r, c), single[r]) << r << "," << c;
+    }
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Pins the decision-loop performance work's determinism contract:
  * the incremental GP path (rank-1 Cholesky appends + batched
  * acquisition) must produce interval records bitwise identical to
- * the full-refit path it replaced, over a real controller run that
- * exercises appends, window trims, settling, and baseline resets.
+ * the full-refit path it replaced (pinned as a digest of that path's
+ * records), over a real controller run that exercises appends,
+ * window trims, settling, and baseline resets.
  */
 
 #include <cinttypes>
@@ -15,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "record_match.hpp"
 #include "satori/harness/experiment.hpp"
 #include "satori/harness/scenarios.hpp"
 #include "satori/obs/obs.hpp"
@@ -25,16 +25,13 @@ namespace satori {
 namespace {
 
 std::vector<persist::IntervalRecord>
-runRecords(bool incremental, const std::vector<std::string>& mix,
-           double duration)
+runRecords(const std::vector<std::string>& mix, double duration)
 {
     PlatformSpec p;
     p.addResource(ResourceKind::Cores, 6);
     p.addResource(ResourceKind::LlcWays, 6);
     auto server = harness::makeServer(p, workloads::mixOf(mix), 5);
-    core::SatoriOptions options;
-    options.engine.incremental = incremental;
-    auto policy = harness::makePolicy("SATORI", server, options);
+    auto policy = harness::makePolicy("SATORI", server);
 
     std::vector<persist::IntervalRecord> records;
     harness::ExperimentOptions opt;
@@ -48,7 +45,9 @@ runRecords(bool incremental, const std::vector<std::string>& mix,
 
 /**
  * 64-bit FNV-1a over every record's encoding: every IntervalRecord
- * field, doubles bitwise.
+ * field, doubles bitwise. The pinned values were taken from the
+ * full-refit engine path (every setSamples a full GP fit) on the
+ * same runs.
  */
 std::uint64_t
 recordsDigest(const std::vector<persist::IntervalRecord>& records)
@@ -76,31 +75,29 @@ expectDigest(const std::vector<persist::IntervalRecord>& records,
 }
 
 /**
- * The load-bearing test for EngineOptions::incremental: every
+ * The load-bearing test for the engine's incremental path: every
  * per-interval record (time, config, per-job IPS and speedups,
- * metrics, decision) must match the full-refit path bit for bit.
+ * metrics, decision) must hash, bit for bit, to the digest the
+ * full-refit engine path produced before that path was deleted.
  * 12 s at 100 ms intervals crosses the baseline-reset period and the
- * GP sample window, so the fast run takes both of the GP's update
+ * GP sample window, so the run takes both of the GP's update
  * branches - rank-1 appends and full refits - and the obs counters
  * prove it.
  */
-TEST(PerfPathTest, IncrementalDecisionTraceByteIdenticalToFullRefit)
+TEST(PerfPathTest, IncrementalDecisionTraceMatchesFullRefitDigest)
 {
-    const std::vector<std::string> mix = {"canneal", "swaptions",
-                                          "streamcluster"};
     obs::Observability& o = obs::observability();
     o.resetAll();
     o.setMetricsEnabled(true);
-    const auto fast = runRecords(true, mix, 12.0);
+    const auto records =
+        runRecords({"canneal", "swaptions", "streamcluster"}, 12.0);
     [[maybe_unused]] const std::uint64_t appends =
         o.lib().gp_incremental_updates.value();
     [[maybe_unused]] const std::uint64_t full_fits =
         o.lib().gp_fits.value();
     o.resetAll();
-    const auto full = runRecords(false, mix, 12.0);
-    expectDigest(full, 0x9b9c53cdf1db6139ULL);
-    EXPECT_FALSE(fast.empty());
-    EXPECT_EQ(testutil::firstDivergence(fast, full), "");
+    EXPECT_FALSE(records.empty());
+    expectDigest(records, 0x9b9c53cdf1db6139ULL);
 #if defined(SATORI_OBS_ENABLED) && SATORI_OBS_ENABLED
     EXPECT_GT(appends, 0u);
     EXPECT_GT(full_fits, 0u);
@@ -108,14 +105,11 @@ TEST(PerfPathTest, IncrementalDecisionTraceByteIdenticalToFullRefit)
 }
 
 /** Same contract on a second mix with a shorter, pre-settling run. */
-TEST(PerfPathTest, IncrementalTraceMatchesOnSecondMix)
+TEST(PerfPathTest, IncrementalTraceMatchesFullRefitDigestOnSecondMix)
 {
-    const std::vector<std::string> mix = {"fluidanimate", "canneal"};
-    const auto fast = runRecords(true, mix, 5.0);
-    const auto full = runRecords(false, mix, 5.0);
-    expectDigest(full, 0x2773c1526f65ec5eULL);
-    EXPECT_FALSE(fast.empty());
-    EXPECT_EQ(testutil::firstDivergence(fast, full), "");
+    const auto records = runRecords({"fluidanimate", "canneal"}, 5.0);
+    EXPECT_FALSE(records.empty());
+    expectDigest(records, 0x2773c1526f65ec5eULL);
 }
 
 } // namespace

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the telemetry guard: outlier gating, stale-counter
- * detection, non-finite rejection, size-mismatch handling, the
- * staleness budget / regime-shift acceptance, and the vanilla
- * (disabled) passthrough.
+ * detection, non-finite rejection, size-mismatch handling, and the
+ * staleness budget / regime-shift acceptance.
  */
 
 #include <cmath>
@@ -63,18 +62,6 @@ TEST(TelemetryGuardTest, CleanSamplesPassThroughUntouched)
     EXPECT_DOUBLE_EQ(obs.ips[0], 1.5);
     EXPECT_DOUBLE_EQ(obs.ips[1], 0.8);
     EXPECT_EQ(guard.stats().repaired_values, 0u);
-}
-
-TEST(TelemetryGuardTest, DisabledGuardIsAPassthrough)
-{
-    TelemetryGuardOptions options;
-    options.enabled = false;
-    TelemetryGuard guard(2, options);
-    auto obs = makeObs(std::numeric_limits<double>::quiet_NaN(), 0.8,
-                       0.1);
-    EXPECT_EQ(guard.filter(obs), SampleHealth::Healthy);
-    EXPECT_TRUE(std::isnan(obs.ips[0])); // untouched
-    EXPECT_EQ(guard.stats().intervals, 0u);
 }
 
 TEST(TelemetryGuardTest, NonFiniteValuesAreSubstituted)
