@@ -5,9 +5,11 @@
  * search-space-size examples).
  */
 
+#include <cinttypes>
+#include <cmath>
+#include <cstdio>
 #include <set>
 
-#include <cmath>
 #include <gtest/gtest.h>
 
 #include "satori/common/logging.hpp"
@@ -205,6 +207,68 @@ TEST(CompositionSpaceTest, SamplesAreValid)
         }
         EXPECT_EQ(sum, 11);
     }
+}
+
+/** Fold @p value into a running 64-bit FNV-1a hash, low byte first. */
+void
+fnvMix(std::uint64_t& hash, std::uint64_t value, int bytes)
+{
+    for (int b = 0; b < bytes; ++b) {
+        hash ^= (value >> (8 * b)) & 0xffU;
+        hash *= 0x100000001b3ULL;
+    }
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    char printed[32];
+    std::snprintf(printed, sizeof printed, "0x%016" PRIx64 "ULL", v);
+    return printed;
+}
+
+TEST(CompositionSpaceTest, EveryPlatformResourceRoundTripsAndIsPinned)
+{
+    // Every resource of every PlatformSpec factory, split among 1-5
+    // jobs: unranking then ranking is the identity, and the
+    // compositions themselves, in index order, hash to a pinned
+    // digest. A change of the rank/unrank machinery must leave both
+    // untouched.
+    constexpr std::uint64_t kPinned = 0x7111c12949125c85ULL;
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const PlatformSpec& p :
+         {PlatformSpec::paperTestbed(), PlatformSpec::smallTestbed(),
+          PlatformSpec::extendedTestbed()}) {
+        for (std::size_t r = 0; r < p.numResources(); ++r) {
+            for (int jobs = 1; jobs <= 5; ++jobs) {
+                const CompositionSpace s(p.units(r), jobs);
+                for (std::uint64_t i = 0; i < s.size(); ++i) {
+                    const auto comp = s.at(i);
+                    ASSERT_EQ(s.rank(comp), i);
+                    for (const int v : comp)
+                        fnvMix(hash, static_cast<std::uint32_t>(v), 4);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(hash, kPinned) << "composition digest is now " << hex(hash);
+}
+
+TEST(ConfigurationSpaceTest, SampledRanksArePinned)
+{
+    // 10 000 uniform draws on the parsec 5-job and power-cap 5-job
+    // spaces, hashed by rank: pins both the draw order of the RNG and
+    // the index<->configuration bijection behind sample().
+    constexpr std::uint64_t kPinned = 0xb350c0c650639f2aULL;
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const PlatformSpec& p :
+         {PlatformSpec::paperTestbed(), PlatformSpec::extendedTestbed()}) {
+        const ConfigurationSpace space(p, 5);
+        Rng rng(1);
+        for (int i = 0; i < 10000; ++i)
+            fnvMix(hash, space.rank(space.sample(rng)), 8);
+    }
+    EXPECT_EQ(hash, kPinned) << "sampled-rank digest is now " << hex(hash);
 }
 
 TEST(ConfigurationSpaceTest, PaperSearchSpaceSizes)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "satori/common/logging.hpp"
+#include "satori/config/enumeration.hpp"
 #include "satori/core/goal_record.hpp"
 #include "satori/core/objective.hpp"
 
@@ -175,6 +176,33 @@ TEST(GoalRecorderTest, UncertaintyKappaPenalizesSingleSamples)
     EXPECT_TRUE(
         rec.sample(rec.bestSampleByAveragedObjective({1.0}, 0.05))
             .config == configOf(2, 2));
+}
+
+TEST(GoalRecorderTest, ExactTieGoesToSmallestStringNotSmallestRank)
+{
+    // Two configurations of an 11-way, 2-job platform whose averaged
+    // scores tie exactly (every goal is 0.5, no uncertainty discount).
+    // The winner is the lexicographically smallest toString(), which
+    // is not the smallest rank once an entry reaches 10.
+    PlatformSpec p;
+    p.addResource(ResourceKind::LlcWays, 11);
+    p.addResource(ResourceKind::Cores, 4);
+    const ConfigurationSpace space(p, 2);
+    const Configuration ten({{10, 1}, {2, 2}});
+    const Configuration nine({{9, 2}, {2, 2}});
+    ASSERT_LT(ten.toString(), nine.toString());
+    ASSERT_GT(space.rank(ten), space.rank(nine));
+    for (const bool ten_first : {true, false}) {
+        GoalRecorder rec(1, 10);
+        rec.add(ten_first ? ten : nine, {0.5});
+        rec.add(ten_first ? nine : ten, {0.5});
+        rec.add(ten_first ? ten : nine, {0.5});
+        rec.add(ten_first ? nine : ten, {0.5});
+        const std::size_t best = rec.bestSampleByAveragedObjective({1.0});
+        EXPECT_EQ(rec.sample(best).config.toString(), "[10,1|2,2]");
+        // The most recent sample of the winner.
+        EXPECT_EQ(best, ten_first ? 2u : 3u);
+    }
 }
 
 TEST(GoalRecorderTest, ClearEmpties)
