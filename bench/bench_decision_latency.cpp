@@ -150,7 +150,7 @@ runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats)
     const std::uint64_t t1 = obs::steadyNowNs();
     std::size_t pick = 0;
     if (!full) {
-        pick = engine.suggestIndex(candidates);
+        pick = engine.suggestIndex(bo::SoaPoints(candidates));
     } else {
         // The pre-optimization acquisition loop: one GP solve per
         // candidate.

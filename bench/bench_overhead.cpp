@@ -54,11 +54,12 @@ BM_AcquisitionOverCandidates(benchmark::State& state)
     const PlatformSpec platform = PlatformSpec::paperTestbed();
     ConfigurationSpace space(platform, 5);
     Rng rng(2);
-    std::vector<RealVec> candidates;
+    std::vector<Configuration> candidates;
     for (int i = 0; i < state.range(0); ++i)
-        candidates.push_back(space.sample(rng).normalizedVector());
+        candidates.push_back(space.sample(rng));
     for (auto _ : state)
-        benchmark::DoNotOptimize(engine.suggestIndex(candidates));
+        benchmark::DoNotOptimize(
+            engine.suggestIndex(bo::SoaPoints(candidates)));
 }
 BENCHMARK(BM_AcquisitionOverCandidates)->Arg(128)->Arg(256);
 

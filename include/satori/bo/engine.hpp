@@ -55,9 +55,11 @@ class BoEngine
 
     /**
      * Score all candidates with the acquisition function and return
-     * the index of the best one. @pre ready() and non-empty.
+     * the index of the best one. Candidate configurations go in as
+     * SoaPoints(candidates), packed straight from their units.
+     * @pre ready() and non-empty.
      */
-    [[nodiscard]] std::size_t suggestIndex(const std::vector<RealVec>& candidates) const;
+    [[nodiscard]] std::size_t suggestIndex(const SoaPoints& candidates) const;
 
     /** Posterior prediction at @p x (for diagnostics and figures). */
     [[nodiscard]] GpPrediction predict(const RealVec& x) const;
@@ -67,7 +69,7 @@ class BoEngine
      * absolute change of these estimates between iterations.
      */
     [[nodiscard]] std::vector<double> probeMeans(
-        const std::vector<RealVec>& probes) const;
+        const SoaPoints& probes) const;
 
     /** Number of training samples currently fitted. */
     [[nodiscard]] std::size_t numSamples() const { return gp_.numSamples(); }

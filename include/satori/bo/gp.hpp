@@ -90,7 +90,7 @@ class GaussianProcess
      * per-point allocations. Scratch is reused across calls (see the
      * class comment on thread-safety).
      */
-    void predictBatchInto(const std::vector<RealVec>& xs,
+    void predictBatchInto(const SoaPoints& xs,
                           std::vector<GpPrediction>& out) const;
 
     /**
@@ -98,7 +98,7 @@ class GaussianProcess
      * sweep without the per-point O(n^2) triangular solve. Means are
      * bit-identical to predictBatchInto's.
      */
-    void predictMeansInto(const std::vector<RealVec>& xs,
+    void predictMeansInto(const SoaPoints& xs,
                           std::vector<double>& out) const;
 
     /** Log marginal likelihood of the current fit (standardized y). */
@@ -130,7 +130,6 @@ class GaussianProcess
      * calls. */
     struct BatchScratch
     {
-        SoaPoints pts;
         linalg::Matrix kstar_t; ///< n x B cross-covariance block.
         linalg::Matrix v;       ///< n x B triangular-solve solutions.
         std::vector<double> means;
@@ -143,8 +142,8 @@ class GaussianProcess
      * null, only the posterior means to @p means. Every result is
      * independent of the block boundaries.
      */
-    void predictBlocked(const std::vector<RealVec>& xs,
-                        GpPrediction* preds, double* means) const;
+    void predictBlocked(const SoaPoints& xs, GpPrediction* preds,
+                        double* means) const;
 
     /** Fill k_cache_ from kernel_/inputs_ (noise on the diagonal). */
     void buildKernelCache();

@@ -11,24 +11,31 @@
 #include <vector>
 
 #include "satori/common/types.hpp"
+#include "satori/config/configuration.hpp"
 
 namespace satori {
 namespace bo {
 
 /**
- * Structure-of-arrays view of a point block: one contiguous array per
- * coordinate, so a kernel can stream a whole candidate block per
- * dimension (the cache-blocked layout the SIMD distance kernel wants)
- * instead of gathering scattered RealVecs point by point.
+ * Structure-of-arrays point set: one contiguous array per coordinate,
+ * so a kernel can stream a whole candidate block per dimension (the
+ * cache-blocked layout the SIMD distance kernel wants) instead of
+ * gathering scattered RealVecs point by point.
  */
 class SoaPoints
 {
   public:
     SoaPoints() = default;
 
-    /** Pack pts[begin, end) (equal-length vectors). Reuses storage. */
-    void assign(const std::vector<RealVec>& pts, std::size_t begin,
-                std::size_t end);
+    /** Pack equal-length vectors. */
+    explicit SoaPoints(const std::vector<RealVec>& pts);
+
+    /**
+     * Pack the configurations' share-normalized vectors, written
+     * straight into the block (bit-identical to packing their
+     * normalizedVector()s). @pre equal shapes.
+     */
+    explicit SoaPoints(const std::vector<Configuration>& configs);
 
     /** Number of packed points. */
     [[nodiscard]] std::size_t count() const { return count_; }
@@ -77,14 +84,15 @@ class Matern52Kernel
                        double* out) const;
 
     /**
-     * Cross-covariance against a packed block: out[c] = k(q, pts[c]).
-     * Every element is bit-identical to covariance(q, pts[c]) - the
-     * SoA layout only changes which loop is innermost (the distance
-     * accumulation still runs dimensions in ascending order per
-     * point). @pre out has room for pts.count() values; pts.dims()
-     * matches q.
+     * Cross-covariance against the packed points [begin, end):
+     * out[c - begin] = k(q, pts[c]). Every element is bit-identical to
+     * covariance(q, pts[c]) - the SoA layout only changes which loop
+     * is innermost (the distance accumulation still runs dimensions
+     * in ascending order per point). @pre out has room for
+     * end - begin values; pts.dims() matches q.
      */
-    void covarianceCross(const SoaPoints& pts, const RealVec& q,
+    void covarianceCross(const SoaPoints& pts, std::size_t begin,
+                         std::size_t end, const RealVec& q,
                          double* out) const;
 
     /** k(x, x): the signal variance. */

@@ -7,6 +7,7 @@
 #ifndef SATORI_CONFIG_CONFIGURATION_HPP
 #define SATORI_CONFIG_CONFIGURATION_HPP
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,9 @@ namespace satori {
  * to all co-located jobs. Every job receives at least one unit of
  * every resource and the units of each resource are fully assigned.
  *
- * Stored as allocation[resource][job] in integer units.
+ * Stored as one contiguous resource-major buffer of integer units:
+ * element (r * numJobs + j) is job j's share of resource r, so a copy
+ * costs a single allocation.
  */
 class Configuration
 {
@@ -35,11 +38,20 @@ class Configuration
      */
     explicit Configuration(std::vector<std::vector<int>> alloc);
 
+    /**
+     * Construct from a resource-major unit buffer.
+     *
+     * @param units units[r * num_jobs + j] = units of resource r given
+     *        to job j. @pre units.size() == num_resources * num_jobs.
+     */
+    Configuration(std::size_t num_resources, std::size_t num_jobs,
+                  std::vector<int> units);
+
     /** Number of co-located jobs. */
-    [[nodiscard]] std::size_t numJobs() const;
+    [[nodiscard]] std::size_t numJobs() const { return num_jobs_; }
 
     /** Number of resources. */
-    [[nodiscard]] std::size_t numResources() const { return alloc_.size(); }
+    [[nodiscard]] std::size_t numResources() const { return num_resources_; }
 
     /** Units of resource @p r given to job @p j. */
     [[nodiscard]] int units(ResourceIndex r, JobIndex j) const;
@@ -48,7 +60,10 @@ class Configuration
     int& units(ResourceIndex r, JobIndex j);
 
     /** The allocation row for resource @p r (one entry per job). */
-    [[nodiscard]] const std::vector<int>& resourceRow(ResourceIndex r) const;
+    [[nodiscard]] std::span<const int> resourceRow(ResourceIndex r) const;
+
+    /** Every unit count, resource-major (see the class comment). */
+    [[nodiscard]] std::span<const int> unitBuffer() const { return units_; }
 
     /** Total units assigned for resource @p r. */
     [[nodiscard]] int totalUnits(ResourceIndex r) const;
@@ -79,6 +94,13 @@ class Configuration
     [[nodiscard]] RealVec normalizedVector() const;
 
     /**
+     * normalizedVector() written in place: element d goes to
+     * out[d * stride], so a caller can pack many configurations
+     * straight into a structure-of-arrays block.
+     */
+    void normalizedInto(double* out, std::size_t stride) const;
+
+    /**
      * Euclidean distance between two configurations in *unit* space
      * (the Fig. 15 metric: 15-dimensional vectors of unit counts).
      */
@@ -104,7 +126,9 @@ class Configuration
     bool operator==(const Configuration& other) const;
 
   private:
-    std::vector<std::vector<int>> alloc_;
+    std::size_t num_resources_ = 0;
+    std::size_t num_jobs_ = 0;
+    std::vector<int> units_;
 };
 
 } // namespace satori

@@ -12,6 +12,7 @@
 #define SATORI_CONFIG_ENUMERATION_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "satori/common/rng.hpp"
@@ -22,12 +23,24 @@ namespace satori {
 
 /**
  * Enumerates compositions of @p units into @p parts positive integer
- * parts in lexicographic order, with O(parts) ranking/unranking.
+ * parts in lexicographic order. Every composition is precomputed at
+ * construction, so unranking is a row copy and ranking costs O(parts)
+ * table lookups.
  */
 class CompositionSpace
 {
   public:
-    /** @pre units >= parts >= 1. */
+    /**
+     * Bound on the precomputed table, compositions x parts units
+     * (4 MiB of ints). The largest resource of any bundled platform
+     * needs 210 x 5.
+     */
+    static constexpr std::uint64_t kMaxTableUnits = std::uint64_t{1} << 20;
+
+    /**
+     * @pre units >= parts >= 1.
+     * @throws FatalError if the table would exceed kMaxTableUnits.
+     */
     CompositionSpace(int units, int parts);
 
     /** Number of compositions: C(units-1, parts-1). */
@@ -36,10 +49,13 @@ class CompositionSpace
     /** The @p index-th composition in lexicographic order. */
     [[nodiscard]] std::vector<int> at(std::uint64_t index) const;
 
-    /** Rank of a composition (inverse of at()). */
-    [[nodiscard]] std::uint64_t rank(const std::vector<int>& composition) const;
+    /** The @p index-th composition, viewed in place. */
+    [[nodiscard]] std::span<const int> row(std::uint64_t index) const;
 
-    /** A uniformly random composition. */
+    /** Rank of a composition (inverse of at()). */
+    [[nodiscard]] std::uint64_t rank(std::span<const int> composition) const;
+
+    /** A uniformly random composition: one rng.uniformInt(size()). */
     [[nodiscard]] std::vector<int> sample(Rng& rng) const;
 
     /** Units being split. */
@@ -52,6 +68,14 @@ class CompositionSpace
     int units_;
     int parts_;
     std::uint64_t size_;
+    /** Every composition, index-major: size_ rows of parts_ units. */
+    std::vector<int> rows_;
+    /**
+     * counts_[(k - 2) * (slack + 1) + a]: compositions of k + a units
+     * into k parts (k = 2..parts_, a = 0..slack, slack = units_ -
+     * parts_). Ranking reads two entries per part.
+     */
+    std::vector<std::uint64_t> counts_;
 };
 
 /**

@@ -191,7 +191,7 @@ class SatoriController final : public PartitioningPolicy
     std::vector<Configuration> seeds_;
     std::size_t next_seed_ = 0;
 
-    std::vector<RealVec> probes_;
+    bo::SoaPoints probes_;
     std::vector<double> last_probe_means_;
 
     // Convergence / settling state (Sec. V overhead optimization).

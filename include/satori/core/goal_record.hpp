@@ -12,6 +12,7 @@
 #ifndef SATORI_CORE_GOAL_RECORD_HPP
 #define SATORI_CORE_GOAL_RECORD_HPP
 
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -77,7 +78,9 @@ class GoalRecorder
     /**
      * Index of the most recent sample of the configuration whose
      * *averaged* combined objective (over its repeated evaluations)
-     * is highest - a noise-robust incumbent selection. @pre !empty().
+     * is highest - a noise-robust incumbent selection. Exactly equal
+     * scores go to the lexicographically smallest toString().
+     * @pre !empty().
      */
     [[nodiscard]] std::size_t bestSampleByAveragedObjective(
         const std::vector<double>& weights,
@@ -104,9 +107,25 @@ class GoalRecorder
     void restoreState(persist::StateReader& r);
 
   private:
+    /** One configuration's recency-weighted record. */
+    struct Group
+    {
+        std::uint64_t key;    ///< Hash of the configuration's units.
+        std::size_t latest;   ///< Its most recent sample.
+        double weighted_sum;  ///< Sum of recency * combined score.
+        double weight;        ///< Sum of recency.
+    };
+
     std::size_t num_goals_;
     std::size_t window_;
     std::deque<GoalSample> samples_;
+
+    // bestSampleByAveragedObjective scratch, reused across calls: the
+    // groups in first-seen order, an open-addressing index over them
+    // (group index + 1; 0 = empty), and recency_[k] = 0.97^k.
+    mutable std::vector<Group> groups_;
+    mutable std::vector<std::uint32_t> slots_;
+    mutable std::vector<double> recency_;
 };
 
 } // namespace core

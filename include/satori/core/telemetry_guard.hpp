@@ -112,6 +112,8 @@ class TelemetryGuard
     Configuration last_config_;
     bool has_last_config_ = false;
     TelemetryGuardStats stats_;
+    /** Hampel-gate working storage, reused across jobs and intervals. */
+    std::vector<double> scratch_;
 };
 
 } // namespace core

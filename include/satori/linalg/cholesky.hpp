@@ -105,7 +105,7 @@ class Cholesky
      * *column* of @p bt (n x m, bt(i, c) = element i of system c: the
      * natural layout of a sample-major cross-covariance block) and
      * write the solutions as the columns of the n x m matrix @p out,
-     * reusing its storage. This layout keeps all m systems adjacent in
+     * reusing its storage whatever its previous shape. This layout keeps all m systems adjacent in
      * the innermost loop (one row of @p out), which is what lets the
      * substitution vectorize across right-hand sides. Each system is
      * solved with exactly solveLower()'s arithmetic (same subtraction

@@ -51,17 +51,20 @@ class Matrix
     /** The identity matrix of size n. */
     [[nodiscard]] static Matrix identity(std::size_t n);
 
-    /** Matrix-vector product. @pre v.size() == cols(). */
-    [[nodiscard]] std::vector<double> multiply(const std::vector<double>& v) const;
+    /**
+     * Reshape to rows x cols, reusing the storage when it is large
+     * enough. Element values are unspecified afterwards: this is for
+     * scratch whose every element the caller then writes.
+     */
+    void reshape(std::size_t rows, std::size_t cols);
 
-    /** Matrix-matrix product. @pre other.rows() == cols(). */
-    [[nodiscard]] Matrix multiply(const Matrix& other) const;
-
-    /** Transposed copy. */
-    [[nodiscard]] Matrix transposed() const;
-
-    /** Add @p v to every diagonal element. @pre square. */
-    void addDiagonal(double v);
+    /**
+     * Grow a square n x n matrix to (n+1) x (n+1) in place, keeping
+     * the leading n x n block; the new last row and column are zero.
+     * Capacity grows geometrically, so a run of appends reallocates
+     * O(log n) times instead of once per append.
+     */
+    void growSquare();
 
     /** Raw storage (row-major), mainly for tests. */
     [[nodiscard]] const std::vector<double>& data() const { return data_; }

@@ -64,19 +64,19 @@ BoEngine::bestObserved() const
 }
 
 std::size_t
-BoEngine::suggestIndex(const std::vector<RealVec>& candidates) const
+BoEngine::suggestIndex(const SoaPoints& candidates) const
 {
     SATORI_OBS_SPAN("bo.acquisition");
     SATORI_OBS_METRIC(bo_suggests.inc());
     SATORI_OBS_METRIC(bo_candidates.observe(
-        static_cast<double>(candidates.size())));
+        static_cast<double>(candidates.count())));
     SATORI_ASSERT(ready());
-    SATORI_ASSERT(!candidates.empty());
+    SATORI_ASSERT(candidates.count() > 0);
     const double best = bestObserved();
     gp_.predictBatchInto(candidates, preds_scratch_);
     std::size_t best_idx = 0;
     double best_score = -std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
+    for (std::size_t i = 0; i < candidates.count(); ++i) {
         const double score = expectedImprovement(preds_scratch_[i], best);
         if (score > best_score) {
             best_score = score;
@@ -94,7 +94,7 @@ BoEngine::predict(const RealVec& x) const
 }
 
 std::vector<double>
-BoEngine::probeMeans(const std::vector<RealVec>& probes) const
+BoEngine::probeMeans(const SoaPoints& probes) const
 {
     SATORI_OBS_SPAN("bo.probe");
     SATORI_ASSERT(ready());

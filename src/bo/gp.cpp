@@ -53,7 +53,7 @@ void
 GaussianProcess::buildKernelCache()
 {
     const std::size_t n = inputs_.size();
-    k_cache_ = linalg::Matrix(n, n);
+    k_cache_.reshape(n, n);
     // Row-at-a-time through the batched kernel; symmetric entries are
     // recomputed rather than mirrored, which is bitwise-identical for
     // a stationary kernel (the distance accumulation sees the same
@@ -115,15 +115,12 @@ GaussianProcess::tryExtendFactor(const RealVec& x)
     double diag = kernel_.covariance(x, x);
     diag += noise_variance_;
 
-    linalg::Matrix grown(n + 1, n + 1);
+    k_cache_.growSquare();
     for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < n; ++j)
-            grown(i, j) = k_cache_(i, j);
-        grown(i, n) = cross[i];
-        grown(n, i) = cross[i];
+        k_cache_(i, n) = cross[i];
+        k_cache_(n, i) = cross[i];
     }
-    grown(n, n) = diag;
-    k_cache_ = std::move(grown);
+    k_cache_(n, n) = diag;
     inputs_.push_back(x);
     return chol_->update(cross, diag);
 }
@@ -194,18 +191,15 @@ GaussianProcess::predict(const RealVec& x) const
 }
 
 void
-GaussianProcess::predictBlocked(const std::vector<RealVec>& xs,
-                                GpPrediction* preds, double* means) const
+GaussianProcess::predictBlocked(const SoaPoints& xs, GpPrediction* preds,
+                                double* means) const
 {
     SATORI_ASSERT(fitted_);
     const std::size_t n = inputs_.size();
-    for (std::size_t b0 = 0; b0 < xs.size(); b0 += kPredictBlock) {
-        const std::size_t b1 = std::min(xs.size(), b0 + kPredictBlock);
+    for (std::size_t b0 = 0; b0 < xs.count(); b0 += kPredictBlock) {
+        const std::size_t b1 = std::min(xs.count(), b0 + kPredictBlock);
         const std::size_t bsz = b1 - b0;
-        scratch_.pts.assign(xs, b0, b1);
-        if (scratch_.kstar_t.rows() != n ||
-            scratch_.kstar_t.cols() != bsz)
-            scratch_.kstar_t = linalg::Matrix(n, bsz);
+        scratch_.kstar_t.reshape(n, bsz);
         // Cross-covariance block, training-sample-major: row i holds
         // k(inputs_[i], candidate c) for the whole block. Every
         // element is bit-identical to the candidate-major row the
@@ -213,7 +207,7 @@ GaussianProcess::predictBlocked(const std::vector<RealVec>& xs,
         // the layout just turns the downstream GEMV and multi-solve
         // into contiguous lane-parallel row sweeps.
         for (std::size_t i = 0; i < n; ++i)
-            kernel_.covarianceCross(scratch_.pts, inputs_[i],
+            kernel_.covarianceCross(xs, b0, b1, inputs_[i],
                                     scratch_.kstar_t.rowPtr(i));
         // mean_std[c] accumulates alpha_[i] * k* in ascending i - the
         // exact linalg::dot order predict() uses, one lane per
@@ -250,18 +244,18 @@ GaussianProcess::predictBlocked(const std::vector<RealVec>& xs,
 }
 
 void
-GaussianProcess::predictBatchInto(const std::vector<RealVec>& xs,
+GaussianProcess::predictBatchInto(const SoaPoints& xs,
                                   std::vector<GpPrediction>& out) const
 {
-    out.resize(xs.size());
+    out.resize(xs.count());
     predictBlocked(xs, out.data(), nullptr);
 }
 
 void
-GaussianProcess::predictMeansInto(const std::vector<RealVec>& xs,
+GaussianProcess::predictMeansInto(const SoaPoints& xs,
                                   std::vector<double>& out) const
 {
-    out.resize(xs.size());
+    out.resize(xs.count());
     predictBlocked(xs, nullptr, out.data());
 }
 

@@ -12,45 +12,55 @@ namespace bo {
 namespace {
 
 /**
- * Squared distances from @p q to every packed point, through the
- * fused simd::sqDistInto kernel. The dimension-pointer table lives
- * on the stack for any realistic dimensionality; beyond it, fall
- * back to the bit-identical one-dimension-at-a-time accumulation.
+ * Squared distances from @p q to the packed points [begin, begin +
+ * count), through the fused simd::sqDistInto kernel. The
+ * dimension-pointer table lives on the stack for any realistic
+ * dimensionality; beyond it, fall back to the bit-identical
+ * one-dimension-at-a-time accumulation.
  */
 void
-sqDistBlock(const SoaPoints& pts, const RealVec& q, double* out)
+sqDistBlock(const SoaPoints& pts, std::size_t begin, std::size_t count,
+            const RealVec& q, double* out)
 {
-    const std::size_t count = pts.count();
     const std::size_t dims = pts.dims();
     constexpr std::size_t kMaxStackDims = 64;
     if (dims <= kMaxStackDims) {
         const double* ptrs[kMaxStackDims];
         for (std::size_t d = 0; d < dims; ++d)
-            ptrs[d] = pts.dim(d);
+            ptrs[d] = pts.dim(d) + begin;
         linalg::simd::sqDistInto(out, ptrs, q.data(), dims, count);
         return;
     }
     for (std::size_t c = 0; c < count; ++c)
         out[c] = 0.0;
     for (std::size_t d = 0; d < dims; ++d)
-        linalg::simd::accumSqDiff(out, pts.dim(d), q[d], count);
+        linalg::simd::accumSqDiff(out, pts.dim(d) + begin, q[d], count);
 }
 
 } // namespace
 
-void
-SoaPoints::assign(const std::vector<RealVec>& pts, std::size_t begin,
-                  std::size_t end)
+SoaPoints::SoaPoints(const std::vector<RealVec>& pts)
+    : count_(pts.size()), dims_(pts.empty() ? 0 : pts.front().size())
 {
-    SATORI_ASSERT(begin <= end && end <= pts.size());
-    count_ = end - begin;
-    dims_ = count_ > 0 ? pts[begin].size() : 0;
     data_.resize(count_ * dims_);
     for (std::size_t c = 0; c < count_; ++c) {
-        const RealVec& p = pts[begin + c];
+        const RealVec& p = pts[c];
         SATORI_ASSERT(p.size() == dims_);
         for (std::size_t d = 0; d < dims_; ++d)
             data_[d * count_ + c] = p[d];
+    }
+}
+
+SoaPoints::SoaPoints(const std::vector<Configuration>& configs)
+    : count_(configs.size()),
+      dims_(configs.empty() ? 0
+                            : configs.front().numResources() *
+                                  configs.front().numJobs())
+{
+    data_.resize(count_ * dims_);
+    for (std::size_t c = 0; c < count_; ++c) {
+        SATORI_ASSERT(configs[c].unitBuffer().size() == dims_);
+        configs[c].normalizedInto(data_.data() + c, count_);
     }
 }
 
@@ -93,7 +103,8 @@ Matern52Kernel::covarianceRow(const RealVec& x,
 }
 
 void
-Matern52Kernel::covarianceCross(const SoaPoints& pts, const RealVec& q,
+Matern52Kernel::covarianceCross(const SoaPoints& pts, std::size_t begin,
+                                std::size_t end, const RealVec& q,
                                 double* out) const
 {
     // Squared distances accumulate per dimension in ascending order -
@@ -101,10 +112,10 @@ Matern52Kernel::covarianceCross(const SoaPoints& pts, const RealVec& q,
     // streamed across the whole block, all coordinates fused in one
     // pass (out holds the d^2 block). Bit-identical by construction;
     // simd_test pins the lane/scalar equivalence of sqDistInto.
-    const std::size_t count = pts.count();
-    const std::size_t dims = pts.dims();
-    SATORI_ASSERT(dims == q.size());
-    sqDistBlock(pts, q, out);
+    SATORI_ASSERT(begin <= end && end <= pts.count());
+    SATORI_ASSERT(pts.dims() == q.size());
+    const std::size_t count = end - begin;
+    sqDistBlock(pts, begin, count, q, out);
     for (std::size_t c = 0; c < count; ++c) {
         const double r = std::sqrt(out[c]);
         const double z = std::sqrt(5.0) * r / length_scale_;

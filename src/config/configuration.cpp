@@ -9,46 +9,49 @@
 namespace satori {
 
 Configuration::Configuration(std::vector<std::vector<int>> alloc)
-    : alloc_(std::move(alloc))
+    : num_resources_(alloc.size()),
+      num_jobs_(alloc.empty() ? 0 : alloc.front().size())
 {
-    if (!alloc_.empty()) {
-        const std::size_t jobs = alloc_.front().size();
-        for (const auto& row : alloc_)
-            SATORI_ASSERT(row.size() == jobs);
+    units_.reserve(num_resources_ * num_jobs_);
+    for (const auto& row : alloc) {
+        SATORI_ASSERT(row.size() == num_jobs_);
+        units_.insert(units_.end(), row.begin(), row.end());
     }
 }
 
-std::size_t
-Configuration::numJobs() const
+Configuration::Configuration(std::size_t num_resources,
+                             std::size_t num_jobs, std::vector<int> units)
+    : num_resources_(num_resources), num_jobs_(num_jobs),
+      units_(std::move(units))
 {
-    return alloc_.empty() ? 0 : alloc_.front().size();
+    SATORI_ASSERT(units_.size() == num_resources_ * num_jobs_);
 }
 
 int
 Configuration::units(ResourceIndex r, JobIndex j) const
 {
-    SATORI_ASSERT(r < alloc_.size() && j < alloc_[r].size());
-    return alloc_[r][j];
+    SATORI_ASSERT(r < num_resources_ && j < num_jobs_);
+    return units_[r * num_jobs_ + j];
 }
 
 int&
 Configuration::units(ResourceIndex r, JobIndex j)
 {
-    SATORI_ASSERT(r < alloc_.size() && j < alloc_[r].size());
-    return alloc_[r][j];
+    SATORI_ASSERT(r < num_resources_ && j < num_jobs_);
+    return units_[r * num_jobs_ + j];
 }
 
-const std::vector<int>&
+std::span<const int>
 Configuration::resourceRow(ResourceIndex r) const
 {
-    SATORI_ASSERT(r < alloc_.size());
-    return alloc_[r];
+    SATORI_ASSERT(r < num_resources_);
+    return std::span<const int>(units_).subspan(r * num_jobs_, num_jobs_);
 }
 
 int
 Configuration::totalUnits(ResourceIndex r) const
 {
-    const auto& row = resourceRow(r);
+    const auto row = resourceRow(r);
     return std::accumulate(row.begin(), row.end(), 0);
 }
 
@@ -56,13 +59,13 @@ bool
 Configuration::isValidFor(const PlatformSpec& platform,
                           std::size_t num_jobs) const
 {
-    if (alloc_.size() != platform.numResources())
+    if (num_resources_ != platform.numResources())
         return false;
-    for (std::size_t r = 0; r < alloc_.size(); ++r) {
-        if (alloc_[r].size() != num_jobs)
-            return false;
+    if (num_resources_ > 0 && num_jobs_ != num_jobs)
+        return false;
+    for (std::size_t r = 0; r < num_resources_; ++r) {
         int total = 0;
-        for (int u : alloc_[r]) {
+        for (int u : resourceRow(r)) {
             if (u < 1)
                 return false;
             total += u;
@@ -78,7 +81,8 @@ Configuration::equalPartition(const PlatformSpec& platform,
                               std::size_t num_jobs)
 {
     SATORI_ASSERT(num_jobs >= 1);
-    std::vector<std::vector<int>> alloc(platform.numResources());
+    std::vector<int> alloc;
+    alloc.reserve(platform.numResources() * num_jobs);
     for (std::size_t r = 0; r < platform.numResources(); ++r) {
         const int units = platform.units(r);
         if (static_cast<std::size_t>(units) < num_jobs)
@@ -87,24 +91,31 @@ Configuration::equalPartition(const PlatformSpec& platform,
                          "' has fewer units than co-located jobs");
         const int base = units / static_cast<int>(num_jobs);
         const int extra = units % static_cast<int>(num_jobs);
-        alloc[r].assign(num_jobs, base);
-        for (int j = 0; j < extra; ++j)
-            alloc[r][static_cast<std::size_t>(j)] += 1;
+        for (int j = 0; j < static_cast<int>(num_jobs); ++j)
+            alloc.push_back(base + (j < extra ? 1 : 0));
     }
-    return Configuration(std::move(alloc));
+    return Configuration(platform.numResources(), num_jobs,
+                         std::move(alloc));
 }
 
 RealVec
 Configuration::normalizedVector() const
 {
-    RealVec out;
-    out.reserve(numResources() * numJobs());
-    for (std::size_t r = 0; r < numResources(); ++r) {
-        const double total = static_cast<double>(totalUnits(r));
-        for (std::size_t j = 0; j < numJobs(); ++j)
-            out.push_back(static_cast<double>(alloc_[r][j]) / total);
-    }
+    RealVec out(units_.size());
+    normalizedInto(out.data(), 1);
     return out;
+}
+
+void
+Configuration::normalizedInto(double* out, std::size_t stride) const
+{
+    for (std::size_t r = 0; r < num_resources_; ++r) {
+        const double total = static_cast<double>(totalUnits(r));
+        for (const int u : resourceRow(r)) {
+            *out = static_cast<double>(u) / total;
+            out += stride;
+        }
+    }
 }
 
 double
@@ -113,12 +124,9 @@ Configuration::distance(const Configuration& a, const Configuration& b)
     SATORI_ASSERT(a.numResources() == b.numResources());
     SATORI_ASSERT(a.numJobs() == b.numJobs());
     double d2 = 0.0;
-    for (std::size_t r = 0; r < a.numResources(); ++r) {
-        for (std::size_t j = 0; j < a.numJobs(); ++j) {
-            const double d =
-                static_cast<double>(a.alloc_[r][j] - b.alloc_[r][j]);
-            d2 += d * d;
-        }
+    for (std::size_t i = 0; i < a.units_.size(); ++i) {
+        const double d = static_cast<double>(a.units_[i] - b.units_[i]);
+        d2 += d * d;
     }
     return std::sqrt(d2);
 }
@@ -129,21 +137,21 @@ Configuration::l1Distance(const Configuration& a, const Configuration& b)
     SATORI_ASSERT(a.numResources() == b.numResources());
     SATORI_ASSERT(a.numJobs() == b.numJobs());
     int d = 0;
-    for (std::size_t r = 0; r < a.numResources(); ++r)
-        for (std::size_t j = 0; j < a.numJobs(); ++j)
-            d += std::abs(a.alloc_[r][j] - b.alloc_[r][j]);
+    for (std::size_t i = 0; i < a.units_.size(); ++i)
+        d += std::abs(a.units_[i] - b.units_[i]);
     return d;
 }
 
 bool
 Configuration::transferUnit(ResourceIndex r, JobIndex from, JobIndex to)
 {
-    SATORI_ASSERT(r < alloc_.size());
-    SATORI_ASSERT(from < numJobs() && to < numJobs());
-    if (from == to || alloc_[r][from] <= 1)
+    SATORI_ASSERT(r < num_resources_);
+    SATORI_ASSERT(from < num_jobs_ && to < num_jobs_);
+    int* row = units_.data() + r * num_jobs_;
+    if (from == to || row[from] <= 1)
         return false;
-    alloc_[r][from] -= 1;
-    alloc_[r][to] += 1;
+    row[from] -= 1;
+    row[to] += 1;
     return true;
 }
 
@@ -152,13 +160,13 @@ Configuration::toString() const
 {
     std::ostringstream os;
     os << "[";
-    for (std::size_t r = 0; r < alloc_.size(); ++r) {
+    for (std::size_t r = 0; r < num_resources_; ++r) {
         if (r)
             os << "|";
-        for (std::size_t j = 0; j < alloc_[r].size(); ++j) {
+        for (std::size_t j = 0; j < num_jobs_; ++j) {
             if (j)
                 os << ",";
-            os << alloc_[r][j];
+            os << units_[r * num_jobs_ + j];
         }
     }
     os << "]";
@@ -168,7 +176,8 @@ Configuration::toString() const
 bool
 Configuration::operator==(const Configuration& other) const
 {
-    return alloc_ == other.alloc_;
+    return num_resources_ == other.num_resources_ &&
+           num_jobs_ == other.num_jobs_ && units_ == other.units_;
 }
 
 } // namespace satori

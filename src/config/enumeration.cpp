@@ -1,6 +1,7 @@
 #include "satori/config/enumeration.hpp"
 
-#include <numeric>
+#include <algorithm>
+#include <string>
 
 #include "satori/common/logging.hpp"
 #include "satori/common/math.hpp"
@@ -14,52 +15,96 @@ CompositionSpace::CompositionSpace(int units, int parts)
         SATORI_FATAL("composition must have at least one part");
     if (units < parts)
         SATORI_FATAL("cannot give every job at least one unit: units < jobs");
-    size_ = binomial(static_cast<std::uint64_t>(units - 1),
-                     static_cast<std::uint64_t>(parts - 1));
+    // C(units-1, parts-1) by binomial()'s partial products, each of
+    // which is itself a binomial no larger than the result: stopping
+    // at the first one past the bound also rules out overflow.
+    const std::uint64_t limit =
+        kMaxTableUnits / static_cast<std::uint64_t>(parts);
+    const std::uint64_t n = static_cast<std::uint64_t>(units - 1);
+    const std::uint64_t k = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(parts - 1),
+        static_cast<std::uint64_t>(units - parts));
+    size_ = 1;
+    for (std::uint64_t i = 1; i <= k; ++i) {
+        size_ = size_ * (n - k + i) / i;
+        if (size_ > limit)
+            SATORI_FATAL("splitting " + std::to_string(units) +
+                         " units among " + std::to_string(parts) +
+                         " jobs has over " + std::to_string(limit) +
+                         " compositions; the precomputed table is "
+                         "bounded at 2^20 units (compositions x jobs)");
+    }
+
+    // Unrank every index with the closed-form block counts: the
+    // index-th composition takes the smallest first part whose block
+    // of C(remaining_units - first - 1, remaining_parts - 1)
+    // completions still contains the index, and so on part by part.
+    rows_.resize(static_cast<std::size_t>(size_) *
+                 static_cast<std::size_t>(parts_));
+    for (std::uint64_t row_index = 0; row_index < size_; ++row_index) {
+        int* out = rows_.data() + row_index * static_cast<std::size_t>(parts_);
+        std::uint64_t index = row_index;
+        int remaining_units = units_;
+        for (int p = 0; p < parts_ - 1; ++p) {
+            const int remaining_parts = parts_ - p - 1;
+            for (int first = 1;; ++first) {
+                const std::uint64_t block =
+                    binomial(static_cast<std::uint64_t>(
+                                 remaining_units - first - 1),
+                             static_cast<std::uint64_t>(remaining_parts - 1));
+                if (index < block) {
+                    out[p] = first;
+                    remaining_units -= first;
+                    break;
+                }
+                index -= block;
+            }
+        }
+        out[parts_ - 1] = remaining_units;
+    }
+
+    const std::size_t slack = static_cast<std::size_t>(units_ - parts_);
+    for (int parts_left = 2; parts_left <= parts_; ++parts_left)
+        for (std::size_t a = 0; a <= slack; ++a)
+            counts_.push_back(binomial(
+                static_cast<std::uint64_t>(parts_left) + a - 1,
+                static_cast<std::uint64_t>(parts_left) - 1));
+}
+
+std::span<const int>
+CompositionSpace::row(std::uint64_t index) const
+{
+    SATORI_ASSERT(index < size_);
+    const std::size_t width = static_cast<std::size_t>(parts_);
+    return std::span<const int>(rows_).subspan(
+        static_cast<std::size_t>(index) * width, width);
 }
 
 std::vector<int>
 CompositionSpace::at(std::uint64_t index) const
 {
-    SATORI_ASSERT(index < size_);
-    std::vector<int> out(static_cast<std::size_t>(parts_));
-    int remaining_units = units_;
-    for (int p = 0; p < parts_ - 1; ++p) {
-        const int remaining_parts = parts_ - p - 1;
-        // First part can be 1 .. remaining_units - remaining_parts.
-        for (int first = 1;; ++first) {
-            const std::uint64_t block =
-                binomial(static_cast<std::uint64_t>(
-                             remaining_units - first - 1),
-                         static_cast<std::uint64_t>(remaining_parts - 1));
-            if (index < block) {
-                out[static_cast<std::size_t>(p)] = first;
-                remaining_units -= first;
-                break;
-            }
-            index -= block;
-        }
-    }
-    out[static_cast<std::size_t>(parts_ - 1)] = remaining_units;
-    return out;
+    const std::span<const int> r = row(index);
+    return std::vector<int>(r.begin(), r.end());
 }
 
 std::uint64_t
-CompositionSpace::rank(const std::vector<int>& composition) const
+CompositionSpace::rank(std::span<const int> composition) const
 {
     SATORI_ASSERT(composition.size() == static_cast<std::size_t>(parts_));
+    // The compositions of U units into k parts whose first part is
+    // below v number C(U-1, k-1) - C(U-v, k-1): all of them minus
+    // those with first part >= v. Both terms are counts_ entries.
+    const std::size_t stride = static_cast<std::size_t>(units_ - parts_) + 1;
     std::uint64_t index = 0;
     int remaining_units = units_;
     for (int p = 0; p < parts_ - 1; ++p) {
-        const int remaining_parts = parts_ - p - 1;
+        const int parts_left = parts_ - p;
         const int value = composition[static_cast<std::size_t>(p)];
-        SATORI_ASSERT(value >= 1);
-        for (int first = 1; first < value; ++first) {
-            index += binomial(static_cast<std::uint64_t>(
-                                  remaining_units - first - 1),
-                              static_cast<std::uint64_t>(
-                                  remaining_parts - 1));
-        }
+        const int slack = remaining_units - parts_left;
+        SATORI_ASSERT(value >= 1 && value - 1 <= slack);
+        const std::uint64_t* counts =
+            counts_.data() + static_cast<std::size_t>(parts_left - 2) * stride;
+        index += counts[slack] - counts[slack - (value - 1)];
         remaining_units -= value;
     }
     SATORI_ASSERT(composition.back() == remaining_units);
@@ -89,14 +134,15 @@ Configuration
 ConfigurationSpace::at(std::uint64_t index) const
 {
     SATORI_ASSERT(index < size_);
-    std::vector<std::vector<int>> alloc(per_resource_.size());
+    std::vector<int> units(per_resource_.size() * num_jobs_);
     // Mixed-radix decomposition, least-significant resource last.
     for (std::size_t r = per_resource_.size(); r-- > 0;) {
         const std::uint64_t radix = per_resource_[r].size();
-        alloc[r] = per_resource_[r].at(index % radix);
+        const std::span<const int> row = per_resource_[r].row(index % radix);
+        std::copy(row.begin(), row.end(), units.begin() + r * num_jobs_);
         index /= radix;
     }
-    return Configuration(std::move(alloc));
+    return Configuration(per_resource_.size(), num_jobs_, std::move(units));
 }
 
 std::uint64_t
@@ -114,10 +160,14 @@ ConfigurationSpace::rank(const Configuration& config) const
 Configuration
 ConfigurationSpace::sample(Rng& rng) const
 {
-    std::vector<std::vector<int>> alloc(per_resource_.size());
-    for (std::size_t r = 0; r < per_resource_.size(); ++r)
-        alloc[r] = per_resource_[r].sample(rng);
-    return Configuration(std::move(alloc));
+    std::vector<int> units(per_resource_.size() * num_jobs_);
+    for (std::size_t r = 0; r < per_resource_.size(); ++r) {
+        const CompositionSpace& space = per_resource_[r];
+        const std::span<const int> row =
+            space.row(rng.uniformInt(space.size()));
+        std::copy(row.begin(), row.end(), units.begin() + r * num_jobs_);
+    }
+    return Configuration(per_resource_.size(), num_jobs_, std::move(units));
 }
 
 std::vector<Configuration>

@@ -116,9 +116,11 @@ SatoriController::SatoriController(const PlatformSpec& platform,
     SATORI_ASSERT(!seeds_.empty());
     // A fixed probe set for proxy-model-change diagnostics (Fig. 17b).
     Rng probe_rng = rng_.split();
-    probes_.reserve(kNumProbes);
+    std::vector<Configuration> probes;
+    probes.reserve(kNumProbes);
     for (std::size_t i = 0; i < kNumProbes; ++i)
-        probes_.push_back(space_.sample(probe_rng).normalizedVector());
+        probes.push_back(space_.sample(probe_rng));
+    probes_ = bo::SoaPoints(probes);
 }
 
 std::string
@@ -478,11 +480,8 @@ SatoriController::decideCore(const IntervalObservation& obs)
             }
         }
     }
-    std::vector<RealVec> xs;
-    xs.reserve(candidates.size());
-    for (const auto& c : candidates)
-        xs.push_back(c.normalizedVector());
-    last_decision_ = candidates[engine_.suggestIndex(xs)];
+    last_decision_ =
+        candidates[engine_.suggestIndex(bo::SoaPoints(candidates))];
     last_outcome_ = "explore";
     return last_decision_;
 }

@@ -1,7 +1,8 @@
 #include "satori/core/goal_record.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <map>
 #include <string>
 
 #include "satori/common/logging.hpp"
@@ -73,35 +74,61 @@ GoalRecorder::bestSampleByAveragedObjective(
     // measurements taken in stale program phases fade out), minus an
     // uncertainty discount that keeps a single lucky noisy sample
     // from being declared the incumbent.
-    std::map<std::string, std::pair<double, double>> grouped;
-    std::map<std::string, std::size_t> latest;
     const std::size_t n = samples_.size();
+    while (recency_.size() < n)
+        recency_.push_back(
+            std::pow(0.97, static_cast<double>(recency_.size())));
+    const std::size_t mask = std::bit_ceil(2 * n) - 1;
+    slots_.assign(mask + 1, 0);
+    groups_.clear();
     for (std::size_t i = 0; i < n; ++i) {
         const auto& s = samples_[i];
         double y = 0.0;
         for (std::size_t k = 0; k < num_goals_; ++k)
             y += weights[k] * s.goals[k];
-        const double recency =
-            std::pow(0.97, static_cast<double>(n - 1 - i));
-        auto& acc = grouped[s.config.toString()];
-        acc.first += recency * y;
-        acc.second += recency;
-        latest[s.config.toString()] = i;
+        // FNV-1a over the unit buffer picks the slot; a group matches
+        // only on equal units, so colliding keys stay apart.
+        std::uint64_t key = 0xcbf29ce484222325ULL;
+        for (const int u : s.config.unitBuffer()) {
+            key ^= static_cast<std::uint32_t>(u);
+            key *= 0x100000001b3ULL;
+        }
+        std::size_t slot = key & mask;
+        while (slots_[slot] != 0) {
+            const Group& g = groups_[slots_[slot] - 1];
+            if (g.key == key && samples_[g.latest].config == s.config)
+                break;
+            slot = (slot + 1) & mask;
+        }
+        if (slots_[slot] == 0) {
+            groups_.push_back({key, i, 0.0, 0.0});
+            slots_[slot] = static_cast<std::uint32_t>(groups_.size());
+        }
+        Group& g = groups_[slots_[slot] - 1];
+        const double recency = recency_[n - 1 - i];
+        g.weighted_sum += recency * y;
+        g.weight += recency;
+        g.latest = i;
     }
-    std::string best_key;
+    const Group* best = nullptr;
     double best_score = -2.0;
-    for (const auto& [key, acc] : grouped) {
-        const double m = acc.first / acc.second;
-        // acc.second is the effective (recency-discounted) sample
+    for (const Group& g : groups_) {
+        const double m = g.weighted_sum / g.weight;
+        // g.weight is the effective (recency-discounted) sample
         // count; the discount shrinks as evaluations accumulate.
         const double score =
-            m - uncertainty_kappa / std::sqrt(std::max(acc.second, 1e-3));
-        if (score > best_score) {
+            m - uncertainty_kappa / std::sqrt(std::max(g.weight, 1e-3));
+        // satori-analyzer: allow(num-float-eq) -- exact ties only
+        const bool tie = best != nullptr && score == best_score;
+        if (score > best_score ||
+            (tie && samples_[g.latest].config.toString() <
+                        samples_[best->latest].config.toString())) {
             best_score = score;
-            best_key = key;
+            best = &g;
         }
     }
-    return latest.at(best_key);
+    SATORI_ASSERT(best != nullptr);
+    return best->latest;
 }
 
 void

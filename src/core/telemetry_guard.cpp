@@ -37,8 +37,9 @@ constexpr std::size_t kFreezeRun = 3;
  */
 constexpr std::size_t kStalenessBudget = 5;
 
+/** Median of @p v, which it reorders. */
 double
-medianOf(std::vector<double> v)
+medianOf(std::vector<double>& v)
 {
     SATORI_ASSERT(!v.empty());
     const std::size_t mid = v.size() / 2;
@@ -149,12 +150,14 @@ TelemetryGuard::filter(IntervalObservation& obs)
         if (finite_ok && !frozen && config_stable &&
             h.window.size() >= std::max<std::size_t>(
                                    5, kHampelWindow / 2)) {
-            const double med = medianOf(h.window);
-            std::vector<double> dev;
-            dev.reserve(h.window.size());
+            // Order statistics do not depend on element order, so
+            // one reused scratch buffer serves both medians.
+            scratch_.assign(h.window.begin(), h.window.end());
+            const double med = medianOf(scratch_);
+            scratch_.clear();
             for (const double v : h.window)
-                dev.push_back(std::abs(v - med));
-            const double mad = medianOf(std::move(dev));
+                scratch_.push_back(std::abs(v - med));
+            const double mad = medianOf(scratch_);
             // Floor the scale so a quiet window cannot turn ordinary
             // noise into outliers.
             const double sigma =

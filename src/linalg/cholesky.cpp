@@ -180,8 +180,7 @@ Cholesky::solveLowerMultiTransposedInto(const Matrix& bt, Matrix& out) const
     const std::size_t n = n_;
     SATORI_ASSERT(bt.rows() == n);
     const std::size_t m = bt.cols();
-    if (out.rows() != n || out.cols() != m)
-        out = Matrix(n, m);
+    out.reshape(n, m);
     // Row i of `out` holds element i of every solution, so the two
     // inner loops stream contiguously over all m systems at once.
     // Per system this is exactly solveLower(): seed with b, subtract

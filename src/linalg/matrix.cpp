@@ -1,8 +1,8 @@
 #include "satori/linalg/matrix.hpp"
 
-#include "satori/common/logging.hpp"
+#include <algorithm>
 
-#include <cmath>
+#include "satori/common/logging.hpp"
 
 namespace satori {
 namespace linalg {
@@ -21,54 +21,33 @@ Matrix::identity(std::size_t n)
     return m;
 }
 
-std::vector<double>
-Matrix::multiply(const std::vector<double>& v) const
+void
+Matrix::reshape(std::size_t rows, std::size_t cols)
 {
-    SATORI_ASSERT(v.size() == cols_);
-    std::vector<double> out(rows_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        double sum = 0.0;
-        const double* row = &data_[r * cols_];
-        for (std::size_t c = 0; c < cols_; ++c)
-            sum += row[c] * v[c];
-        out[r] = sum;
-    }
-    return out;
-}
-
-Matrix
-Matrix::multiply(const Matrix& other) const
-{
-    SATORI_ASSERT(other.rows_ == cols_);
-    Matrix out(rows_, other.cols_, 0.0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        for (std::size_t k = 0; k < cols_; ++k) {
-            const double a = (*this)(r, k);
-            if (std::abs(a) == 0.0)
-                continue;
-            for (std::size_t c = 0; c < other.cols_; ++c)
-                out(r, c) += a * other(k, c);
-        }
-    }
-    return out;
-}
-
-Matrix
-Matrix::transposed() const
-{
-    Matrix out(cols_, rows_);
-    for (std::size_t r = 0; r < rows_; ++r)
-        for (std::size_t c = 0; c < cols_; ++c)
-            out(c, r) = (*this)(r, c);
-    return out;
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
 }
 
 void
-Matrix::addDiagonal(double v)
+Matrix::growSquare()
 {
     SATORI_ASSERT(rows_ == cols_);
-    for (std::size_t i = 0; i < rows_; ++i)
-        (*this)(i, i) += v;
+    const std::size_t n = rows_;
+    const std::size_t m = n + 1;
+    if (m * m > data_.capacity())
+        data_.reserve(std::max(m * m, 2 * data_.capacity()));
+    data_.resize(m * m);
+    // Widen the rows back to front: row i moves right by i slots, so
+    // each destination only overlaps rows that have already moved.
+    for (std::size_t i = n; i-- > 1;)
+        std::copy_backward(data_.begin() + static_cast<std::ptrdiff_t>(i * n),
+                           data_.begin() + static_cast<std::ptrdiff_t>(i * n + n),
+                           data_.begin() + static_cast<std::ptrdiff_t>(i * m + n));
+    for (std::size_t i = 0; i < n; ++i)
+        data_[i * m + n] = 0.0;
+    std::fill(data_.begin() + static_cast<std::ptrdiff_t>(n * m), data_.end(), 0.0);
+    rows_ = cols_ = m;
 }
 
 double

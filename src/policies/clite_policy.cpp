@@ -121,11 +121,7 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
             std::max_element(ys_.begin(), ys_.end()) - ys_.begin())];
     std::vector<Configuration> candidates =
         candgen_.generate(incumbent, rng_);
-    std::vector<RealVec> cx;
-    cx.reserve(candidates.size());
-    for (const auto& c : candidates)
-        cx.push_back(c.normalizedVector());
-    return candidates[engine_.suggestIndex(cx)];
+    return candidates[engine_.suggestIndex(bo::SoaPoints(candidates))];
 }
 
 void

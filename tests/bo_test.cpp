@@ -271,8 +271,9 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
 
     // Two passes through the same scratch: no cross-talk between calls.
     std::vector<GpPrediction> out;
-    gp.predictBatchInto(queries, out);
-    gp.predictBatchInto(queries, out);
+    const SoaPoints packed(queries);
+    gp.predictBatchInto(packed, out);
+    gp.predictBatchInto(packed, out);
     ASSERT_EQ(out.size(), queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
         const auto single = gp.predict(queries[q]);
@@ -330,8 +331,8 @@ TEST(EngineIncrementalTest, RestoredFullFitMatchesLiveSuggestions)
         persist::StateReader r(w.bytes(), "engine-full-fit");
         BoEngine refit;
         refit.restoreState(r);
-        EXPECT_EQ(live.suggestIndex(candidates),
-                  refit.suggestIndex(candidates))
+        EXPECT_EQ(live.suggestIndex(SoaPoints(candidates)),
+                  refit.suggestIndex(SoaPoints(candidates)))
             << what;
         const auto pl = live.predict(candidates[0]);
         const auto pr = refit.predict(candidates[0]);
@@ -401,7 +402,7 @@ TEST(EngineTest, SuggestsNearMaximumOfSimpleFunction)
     std::vector<RealVec> candidates;
     for (int i = 0; i <= 50; ++i)
         candidates.push_back({i / 50.0});
-    const std::size_t pick = engine.suggestIndex(candidates);
+    const std::size_t pick = engine.suggestIndex(SoaPoints(candidates));
     EXPECT_NEAR(candidates[pick][0], 0.7, 0.25);
 }
 
@@ -515,9 +516,10 @@ TEST(GpBatchTest, MeansOnlyPassMatchesFullPredictionMeans)
     makeDataset(700, 3, 42, queries, qys);
 
     std::vector<GpPrediction> full;
-    gp.predictBatchInto(queries, full);
+    const SoaPoints packed(queries);
+    gp.predictBatchInto(packed, full);
     std::vector<double> means;
-    gp.predictMeansInto(queries, means);
+    gp.predictMeansInto(packed, means);
     ASSERT_EQ(means.size(), full.size());
     for (std::size_t i = 0; i < queries.size(); ++i)
         EXPECT_EQ(means[i], full[i].mean) << i;
@@ -544,8 +546,8 @@ TEST(EngineTest, StateRoundTripsThroughPersist)
     restored.restoreState(r);
     EXPECT_EQ(restored.numSamples(), engine.numSamples());
     EXPECT_DOUBLE_EQ(restored.bestObserved(), engine.bestObserved());
-    EXPECT_EQ(restored.suggestIndex(candidates),
-              engine.suggestIndex(candidates));
+    const SoaPoints packed(candidates);
+    EXPECT_EQ(restored.suggestIndex(packed), engine.suggestIndex(packed));
 }
 
 TEST(CandidatesTest, ConcentratedConfigurationsCoverEveryJob)

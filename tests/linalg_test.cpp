@@ -16,6 +16,54 @@ namespace satori {
 namespace linalg {
 namespace {
 
+// Dense reference operations for building and checking test systems;
+// the library itself never needs them.
+
+/** Matrix-vector product. @pre v.size() == m.cols(). */
+std::vector<double>
+multiply(const Matrix& m, const std::vector<double>& v)
+{
+    std::vector<double> out(m.rows(), 0.0);
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+        double sum = 0.0;
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            sum += m(r, c) * v[c];
+        out[r] = sum;
+    }
+    return out;
+}
+
+/** Matrix-matrix product. @pre b.rows() == a.cols(). */
+Matrix
+multiply(const Matrix& a, const Matrix& b)
+{
+    Matrix out(a.rows(), b.cols(), 0.0);
+    for (std::size_t r = 0; r < a.rows(); ++r)
+        for (std::size_t k = 0; k < a.cols(); ++k)
+            for (std::size_t c = 0; c < b.cols(); ++c)
+                out(r, c) += a(r, k) * b(k, c);
+    return out;
+}
+
+/** Transposed copy. */
+Matrix
+transposed(const Matrix& m)
+{
+    Matrix out(m.cols(), m.rows());
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            out(c, r) = m(r, c);
+    return out;
+}
+
+/** Add @p v to every diagonal element. @pre square. */
+void
+addDiagonal(Matrix& m, double v)
+{
+    for (std::size_t i = 0; i < m.rows(); ++i)
+        m(i, i) += v;
+}
+
 TEST(MatrixTest, IdentityAndElementAccess)
 {
     Matrix m = Matrix::identity(3);
@@ -35,7 +83,7 @@ TEST(MatrixTest, MatrixVectorProduct)
     for (std::size_t r = 0; r < 2; ++r)
         for (std::size_t c = 0; c < 3; ++c)
             m(r, c) = v++;
-    const auto out = m.multiply(std::vector<double>{1.0, 1.0, 1.0});
+    const auto out = multiply(m, std::vector<double>{1.0, 1.0, 1.0});
     ASSERT_EQ(out.size(), 2u);
     EXPECT_DOUBLE_EQ(out[0], 6.0);
     EXPECT_DOUBLE_EQ(out[1], 15.0);
@@ -52,7 +100,7 @@ TEST(MatrixTest, MatrixMatrixProduct)
     b(0, 1) = 6;
     b(1, 0) = 7;
     b(1, 1) = 8;
-    const Matrix c = a.multiply(b);
+    const Matrix c = multiply(a, b);
     EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
     EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
     EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
@@ -63,16 +111,40 @@ TEST(MatrixTest, Transpose)
 {
     Matrix m(2, 3);
     m(0, 2) = 7.0;
-    const Matrix t = m.transposed();
+    const Matrix t = transposed(m);
     EXPECT_EQ(t.rows(), 3u);
     EXPECT_EQ(t.cols(), 2u);
     EXPECT_DOUBLE_EQ(t(2, 0), 7.0);
 }
 
+TEST(MatrixTest, GrowSquareKeepsLeadingBlock)
+{
+    Matrix m(1, 1);
+    m(0, 0) = 1.0;
+    for (std::size_t n = 1; n < 9; ++n) {
+        m.growSquare();
+        ASSERT_EQ(m.rows(), n + 1);
+        ASSERT_EQ(m.cols(), n + 1);
+        for (std::size_t i = 0; i <= n; ++i) {
+            for (std::size_t j = 0; j <= n; ++j) {
+                const double want =
+                    (i < n && j < n) ? static_cast<double>(i * 10 + j + 1)
+                                     : 0.0;
+                EXPECT_EQ(m(i, j), want) << n << ": " << i << "," << j;
+            }
+        }
+        // Fill the new row and column the way the next round expects.
+        for (std::size_t k = 0; k <= n; ++k) {
+            m(n, k) = static_cast<double>(n * 10 + k + 1);
+            m(k, n) = static_cast<double>(k * 10 + n + 1);
+        }
+    }
+}
+
 TEST(MatrixTest, AddDiagonal)
 {
     Matrix m(2, 2);
-    m.addDiagonal(3.0);
+    addDiagonal(m, 3.0);
     EXPECT_DOUBLE_EQ(m(0, 0), 3.0);
     EXPECT_DOUBLE_EQ(m(1, 1), 3.0);
     EXPECT_DOUBLE_EQ(m(0, 1), 0.0);
@@ -149,7 +221,7 @@ TEST(CholeskyTest, TriangularSolvesAreConsistent)
     const auto y = chol.solveLower(b);
     const auto x = chol.solveUpper(y);
     // Verify A x = b.
-    const auto back = a.multiply(x);
+    const auto back = multiply(a, x);
     for (std::size_t i = 0; i < 3; ++i)
         EXPECT_NEAR(back[i], b[i], 1e-10);
 }
@@ -168,13 +240,13 @@ TEST_P(CholeskyProperty, RandomSpdSystemsSolve)
     for (std::size_t r = 0; r < b.rows(); ++r)
         for (std::size_t c = 0; c < b.cols(); ++c)
             b(r, c) = rng.uniform(-1.0, 1.0);
-    Matrix a = b.multiply(b.transposed());
-    a.addDiagonal(static_cast<double>(n));
+    Matrix a = multiply(b, transposed(b));
+    addDiagonal(a, static_cast<double>(n));
 
     std::vector<double> x_true(static_cast<std::size_t>(n));
     for (auto& v : x_true)
         v = rng.uniform(-5.0, 5.0);
-    const auto rhs = a.multiply(x_true);
+    const auto rhs = multiply(a, x_true);
 
     const auto x = Cholesky(a).solve(rhs);
     for (std::size_t i = 0; i < x.size(); ++i)
@@ -192,8 +264,8 @@ randomSpd(std::size_t n, Rng& rng, double ridge)
     for (std::size_t r = 0; r < n; ++r)
         for (std::size_t c = 0; c < n; ++c)
             b(r, c) = rng.uniform(-1.0, 1.0);
-    Matrix a = b.multiply(b.transposed());
-    a.addDiagonal(ridge);
+    Matrix a = multiply(b, transposed(b));
+    addDiagonal(a, ridge);
     return a;
 }
 

@@ -79,7 +79,7 @@ TEST(CodecTest, ScalarsAndVectorsRoundTrip)
     w.putSize(12345);
     w.putString("hello \0 world");
     w.putDoubleVec({1.0, -2.5, 1e300});
-    w.putIntVec({-1, 0, 7});
+    w.putIntVec(std::vector<int>{-1, 0, 7});
 
     StateReader r(w.bytes(), "test");
     EXPECT_EQ(r.getU8(), 0xAB);

@@ -5,6 +5,7 @@
  * behaviours.
  */
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -110,7 +111,8 @@ TEST(DCatPolicyTest, OnlyReallocatesLlcWays)
             if (static_cast<int>(r) == llc)
                 continue;
             // Non-LLC rows stay at the equal partition.
-            EXPECT_EQ(c.resourceRow(r), equal.resourceRow(r));
+            EXPECT_TRUE(std::ranges::equal(c.resourceRow(r),
+                                           equal.resourceRow(r)));
         }
         server.setConfiguration(c);
     }
@@ -150,8 +152,9 @@ TEST(CoPartPolicyTest, OnlyTouchesLlcAndBandwidth)
     for (int i = 0; i < 200; ++i) {
         const auto c = policy.decide(monitor.observe(0.1));
         ASSERT_TRUE(c.isValidFor(server.platform(), 3));
-        EXPECT_EQ(c.resourceRow(static_cast<std::size_t>(cores)),
-                  equal.resourceRow(static_cast<std::size_t>(cores)));
+        const auto core_index = static_cast<std::size_t>(cores);
+        EXPECT_TRUE(std::ranges::equal(c.resourceRow(core_index),
+                                       equal.resourceRow(core_index)));
         server.setConfiguration(c);
     }
 }
