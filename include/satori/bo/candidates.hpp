@@ -75,6 +75,9 @@ class CandidateGenerator
   private:
     const ConfigurationSpace& space_;
     CandidateOptions options_;
+    /** Seeds then the concentration set when include_structured (they
+     * depend only on the space, so they are built once). */
+    std::vector<Configuration> structured_;
 };
 
 } // namespace bo

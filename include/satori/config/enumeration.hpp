@@ -47,16 +47,13 @@ class CompositionSpace
     [[nodiscard]] std::uint64_t size() const { return size_; }
 
     /** The @p index-th composition in lexicographic order. */
-    [[nodiscard]] std::vector<int> at(std::uint64_t index) const;
-
-    /** The @p index-th composition, viewed in place. */
-    [[nodiscard]] std::span<const int> row(std::uint64_t index) const;
+    [[nodiscard]] std::span<const int> at(std::uint64_t index) const;
 
     /** Rank of a composition (inverse of at()). */
     [[nodiscard]] std::uint64_t rank(std::span<const int> composition) const;
 
     /** A uniformly random composition: one rng.uniformInt(size()). */
-    [[nodiscard]] std::vector<int> sample(Rng& rng) const;
+    [[nodiscard]] std::span<const int> sample(Rng& rng) const;
 
     /** Units being split. */
     [[nodiscard]] int units() const { return units_; }

@@ -1,6 +1,7 @@
 #include "satori/bo/candidates.hpp"
 
-#include <unordered_set>
+#include <bit>
+#include <limits>
 
 #include "satori/common/logging.hpp"
 
@@ -12,12 +13,58 @@ namespace {
 /** Uniform random candidates per round. */
 constexpr std::size_t kNumRandom = 256;
 
+/**
+ * Membership-only set of configuration ranks with room for a known
+ * number of inserts: one flat open-addressing table (linear probing,
+ * at most half full) instead of one heap node per rank.
+ */
+class RankSet
+{
+  public:
+    explicit RankSet(std::size_t capacity)
+        : slots_(std::bit_ceil(2 * capacity + 1), kEmpty),
+          shift_(64 - std::countr_zero(slots_.size())), capacity_(capacity)
+    {
+    }
+
+    /** Insert @p rank; false if it was already present. */
+    bool insert(std::uint64_t rank)
+    {
+        const std::size_t mask = slots_.size() - 1;
+        // Fibonacci hashing spreads neighbouring ranks across slots.
+        std::size_t i = static_cast<std::size_t>(
+            (rank * 0x9e3779b97f4a7c15ULL) >> shift_);
+        for (; slots_[i] != kEmpty; i = (i + 1) & mask)
+            if (slots_[i] == rank)
+                return false;
+        SATORI_ASSERT(size_ < capacity_);
+        slots_[i] = rank;
+        ++size_;
+        return true;
+    }
+
+  private:
+    /** Never a rank: every space is smaller than 2^64 - 1. */
+    static constexpr std::uint64_t kEmpty =
+        std::numeric_limits<std::uint64_t>::max();
+
+    std::vector<std::uint64_t> slots_;
+    int shift_;
+    std::size_t capacity_;
+    std::size_t size_ = 0;
+};
+
 } // namespace
 
 CandidateGenerator::CandidateGenerator(const ConfigurationSpace& space,
                                        CandidateOptions options)
     : space_(space), options_(options)
 {
+    if (options_.include_structured) {
+        structured_ = seedConfigurations();
+        for (auto& c : concentratedConfigurations())
+            structured_.push_back(std::move(c));
+    }
 }
 
 std::vector<Configuration>
@@ -47,28 +94,26 @@ CandidateGenerator::seedConfigurations() const
 std::vector<Configuration>
 CandidateGenerator::generate(const Configuration& incumbent, Rng& rng) const
 {
+    std::vector<Configuration> neighbors = space_.neighbors(incumbent);
+    const std::size_t most =
+        kNumRandom + neighbors.size() + structured_.size();
     std::vector<Configuration> out;
+    out.reserve(most);
     // `seen` is queried only for membership — the emitted order is the
     // insertion order of `out`, so candidate lists replay exactly for a
-    // given (incumbent, rng state) regardless of hash-bucket layout.
-    // Iterating `seen` here would break replay; see BoTest.
-    std::unordered_set<std::uint64_t> seen;
-    auto push_unique = [&](Configuration c) {
-        const std::uint64_t key = space_.rank(c);
-        if (seen.insert(key).second)
+    // given (incumbent, rng state) regardless of the table layout.
+    RankSet seen(most);
+    for (std::size_t i = 0; i < kNumRandom; ++i) {
+        Configuration c = space_.sample(rng);
+        if (seen.insert(space_.rank(c)))
             out.push_back(std::move(c));
-    };
-
-    for (std::size_t i = 0; i < kNumRandom; ++i)
-        push_unique(space_.sample(rng));
-    for (auto& n : space_.neighbors(incumbent))
-        push_unique(std::move(n));
-    if (options_.include_structured) {
-        for (auto& s : seedConfigurations())
-            push_unique(std::move(s));
-        for (auto& c : concentratedConfigurations())
-            push_unique(std::move(c));
     }
+    for (auto& n : neighbors)
+        if (seen.insert(space_.rank(n)))
+            out.push_back(std::move(n));
+    for (const auto& s : structured_)
+        if (seen.insert(space_.rank(s)))
+            out.push_back(s);
     SATORI_ASSERT(!out.empty());
     return out;
 }

@@ -35,56 +35,50 @@ CompositionSpace::CompositionSpace(int units, int parts)
                          "bounded at 2^20 units (compositions x jobs)");
     }
 
-    // Unrank every index with the closed-form block counts: the
-    // index-th composition takes the smallest first part whose block
-    // of C(remaining_units - first - 1, remaining_parts - 1)
-    // completions still contains the index, and so on part by part.
-    rows_.resize(static_cast<std::size_t>(size_) *
-                 static_cast<std::size_t>(parts_));
-    for (std::uint64_t row_index = 0; row_index < size_; ++row_index) {
-        int* out = rows_.data() + row_index * static_cast<std::size_t>(parts_);
-        std::uint64_t index = row_index;
-        int remaining_units = units_;
-        for (int p = 0; p < parts_ - 1; ++p) {
-            const int remaining_parts = parts_ - p - 1;
-            for (int first = 1;; ++first) {
-                const std::uint64_t block =
-                    binomial(static_cast<std::uint64_t>(
-                                 remaining_units - first - 1),
-                             static_cast<std::uint64_t>(remaining_parts - 1));
-                if (index < block) {
-                    out[p] = first;
-                    remaining_units -= first;
-                    break;
-                }
-                index -= block;
-            }
+    // Every composition in lexicographic order, each the successor of
+    // the one before: find the rightmost part whose suffix still has a
+    // spare unit, raise it by one, and reset the suffix to its
+    // smallest arrangement (all ones, remainder last).
+    const std::size_t width = static_cast<std::size_t>(parts_);
+    rows_.resize(static_cast<std::size_t>(size_) * width);
+    std::fill(rows_.begin(), rows_.begin() + parts_, 1);
+    rows_[width - 1] = units_ - parts_ + 1;
+    for (std::size_t i = 1; i < size_; ++i) {
+        int* cur = rows_.data() + i * width;
+        std::copy(cur - width, cur, cur);
+        int p = parts_ - 2;
+        int suffix = cur[parts_ - 1];
+        while (suffix == parts_ - 1 - p) {
+            suffix += cur[p];
+            --p;
         }
-        out[parts_ - 1] = remaining_units;
+        cur[p] += 1;
+        int rest = suffix - 1;
+        for (int q = p + 1; q < parts_ - 1; ++q, --rest)
+            cur[q] = 1;
+        cur[parts_ - 1] = rest;
     }
 
-    const std::size_t slack = static_cast<std::size_t>(units_ - parts_);
-    for (int parts_left = 2; parts_left <= parts_; ++parts_left)
-        for (std::size_t a = 0; a <= slack; ++a)
-            counts_.push_back(binomial(
-                static_cast<std::uint64_t>(parts_left) + a - 1,
-                static_cast<std::uint64_t>(parts_left) - 1));
+    // counts_ by Pascal's rule: k parts take k + a units in C(k+a-1, a)
+    // ways, and C(n, a) = C(n-1, a-1) + C(n-1, a).
+    const std::size_t stride = static_cast<std::size_t>(units_ - parts_) + 1;
+    counts_.resize(static_cast<std::size_t>(parts_ - 1) * stride);
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+        const std::size_t a = i % stride;
+        const bool two_parts = i < stride;
+        counts_[i] = a == 0 ? 1
+                            : counts_[i - 1] +
+                                  (two_parts ? 1 : counts_[i - stride]);
+    }
 }
 
 std::span<const int>
-CompositionSpace::row(std::uint64_t index) const
+CompositionSpace::at(std::uint64_t index) const
 {
     SATORI_ASSERT(index < size_);
     const std::size_t width = static_cast<std::size_t>(parts_);
     return std::span<const int>(rows_).subspan(
         static_cast<std::size_t>(index) * width, width);
-}
-
-std::vector<int>
-CompositionSpace::at(std::uint64_t index) const
-{
-    const std::span<const int> r = row(index);
-    return std::vector<int>(r.begin(), r.end());
 }
 
 std::uint64_t
@@ -111,7 +105,7 @@ CompositionSpace::rank(std::span<const int> composition) const
     return index;
 }
 
-std::vector<int>
+std::span<const int>
 CompositionSpace::sample(Rng& rng) const
 {
     return at(rng.uniformInt(size_));
@@ -138,7 +132,7 @@ ConfigurationSpace::at(std::uint64_t index) const
     // Mixed-radix decomposition, least-significant resource last.
     for (std::size_t r = per_resource_.size(); r-- > 0;) {
         const std::uint64_t radix = per_resource_[r].size();
-        const std::span<const int> row = per_resource_[r].row(index % radix);
+        const std::span<const int> row = per_resource_[r].at(index % radix);
         std::copy(row.begin(), row.end(), units.begin() + r * num_jobs_);
         index /= radix;
     }
@@ -162,9 +156,7 @@ ConfigurationSpace::sample(Rng& rng) const
 {
     std::vector<int> units(per_resource_.size() * num_jobs_);
     for (std::size_t r = 0; r < per_resource_.size(); ++r) {
-        const CompositionSpace& space = per_resource_[r];
-        const std::span<const int> row =
-            space.row(rng.uniformInt(space.size()));
+        const std::span<const int> row = per_resource_[r].sample(rng);
         std::copy(row.begin(), row.end(), units.begin() + r * num_jobs_);
     }
     return Configuration(per_resource_.size(), num_jobs_, std::move(units));

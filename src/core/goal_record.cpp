@@ -86,8 +86,9 @@ GoalRecorder::bestSampleByAveragedObjective(
         double y = 0.0;
         for (std::size_t k = 0; k < num_goals_; ++k)
             y += weights[k] * s.goals[k];
-        // FNV-1a over the unit buffer picks the slot; a group matches
-        // only on equal units, so colliding keys stay apart.
+        // An FNV-style hash of the unit buffer (one int per round)
+        // picks the slot; a group matches only on equal units, so
+        // colliding keys stay apart.
         std::uint64_t key = 0xcbf29ce484222325ULL;
         for (const int u : s.config.unitBuffer()) {
             key ^= static_cast<std::uint32_t>(u);

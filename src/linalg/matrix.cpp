@@ -37,16 +37,16 @@ Matrix::growSquare()
     const std::size_t m = n + 1;
     if (m * m > data_.capacity())
         data_.reserve(std::max(m * m, 2 * data_.capacity()));
+    // resize zero-fills the new tail, which holds the whole new last
+    // row: no row move below reaches it. Widen the rows back to front:
+    // row i moves right by i slots, so each destination only overlaps
+    // rows that have already moved.
     data_.resize(m * m);
-    // Widen the rows back to front: row i moves right by i slots, so
-    // each destination only overlaps rows that have already moved.
+    double* d = data_.data();
     for (std::size_t i = n; i-- > 1;)
-        std::copy_backward(data_.begin() + static_cast<std::ptrdiff_t>(i * n),
-                           data_.begin() + static_cast<std::ptrdiff_t>(i * n + n),
-                           data_.begin() + static_cast<std::ptrdiff_t>(i * m + n));
+        std::copy_backward(d + i * n, d + i * n + n, d + i * m + n);
     for (std::size_t i = 0; i < n; ++i)
-        data_[i * m + n] = 0.0;
-    std::fill(data_.begin() + static_cast<std::ptrdiff_t>(n * m), data_.end(), 0.0);
+        d[i * m + n] = 0.0;
     rows_ = cols_ = m;
 }
 

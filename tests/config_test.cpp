@@ -151,8 +151,10 @@ TEST(CompositionSpaceTest, EnumerationIsLexicographicAndComplete)
     CompositionSpace s(5, 3); // C(4,2) = 6 compositions
     ASSERT_EQ(s.size(), 6u);
     std::vector<std::vector<int>> all;
-    for (std::uint64_t i = 0; i < s.size(); ++i)
-        all.push_back(s.at(i));
+    for (std::uint64_t i = 0; i < s.size(); ++i) {
+        const auto comp = s.at(i);
+        all.emplace_back(comp.begin(), comp.end());
+    }
     // Lexicographic order and all sums correct.
     for (std::size_t i = 0; i < all.size(); ++i) {
         int sum = 0;
@@ -183,7 +185,8 @@ TEST_P(CompositionRoundTrip, AtThenRankIsIdentity)
     for (std::uint64_t i = 0; i < s.size(); ++i) {
         const auto comp = s.at(i);
         EXPECT_EQ(s.rank(comp), i);
-        EXPECT_TRUE(seen.insert(comp).second) << "duplicate composition";
+        EXPECT_TRUE(seen.emplace(comp.begin(), comp.end()).second)
+            << "duplicate composition";
     }
     EXPECT_EQ(seen.size(), s.size());
 }
