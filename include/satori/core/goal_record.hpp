@@ -120,9 +120,10 @@ class GoalRecorder
     std::size_t window_;
     std::deque<GoalSample> samples_;
 
-    // bestSampleByAveragedObjective scratch, reused across calls: the
-    // groups in first-seen order, an open-addressing index over them
-    // (group index + 1; 0 = empty), and recency_[k] = 0.97^k.
+    // bestSampleByAveragedObjective scratch, reused across calls (so
+    // concurrent calls on one recorder are unsafe): the groups in
+    // first-seen order, an open-addressing index over them (group
+    // index + 1; 0 = empty), and recency_[k] = 0.97^k.
     mutable std::vector<Group> groups_;
     mutable std::vector<std::uint32_t> slots_;
     mutable std::vector<double> recency_;

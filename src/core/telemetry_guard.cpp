@@ -150,13 +150,12 @@ TelemetryGuard::filter(IntervalObservation& obs)
         if (finite_ok && !frozen && config_stable &&
             h.window.size() >= std::max<std::size_t>(
                                    5, kHampelWindow / 2)) {
-            // Order statistics do not depend on element order, so
-            // one reused scratch buffer serves both medians.
+            // Order statistics do not depend on element order, so the
+            // deviations are taken in place on the reordered copy.
             scratch_.assign(h.window.begin(), h.window.end());
             const double med = medianOf(scratch_);
-            scratch_.clear();
-            for (const double v : h.window)
-                scratch_.push_back(std::abs(v - med));
+            for (double& v : scratch_)
+                v = std::abs(v - med);
             const double mad = medianOf(scratch_);
             // Floor the scale so a quiet window cannot turn ordinary
             // noise into outliers.

@@ -37,14 +37,12 @@ RestrictedPolicy::name() const
 Configuration
 RestrictedPolicy::project(const Configuration& full) const
 {
-    std::vector<int> units;
-    units.reserve(managed_indices_.size() * full.numJobs());
+    std::vector<std::vector<int>> alloc;
     for (std::size_t idx : managed_indices_) {
         const auto row = full.resourceRow(idx);
-        units.insert(units.end(), row.begin(), row.end());
+        alloc.emplace_back(row.begin(), row.end());
     }
-    return Configuration(managed_indices_.size(), full.numJobs(),
-                         std::move(units));
+    return Configuration(std::move(alloc));
 }
 
 Configuration

@@ -144,6 +144,11 @@ TEST(CompositionSpaceTest, InvalidArgumentsRejected)
 {
     EXPECT_THROW(CompositionSpace(2, 3), FatalError);
     EXPECT_THROW(CompositionSpace(3, 0), FatalError);
+    // Past the 2^20-unit table bound (compositions x parts), including
+    // shapes whose composition count overflows 64 bits.
+    EXPECT_THROW(CompositionSpace(60, 5), FatalError);
+    EXPECT_THROW(CompositionSpace(1 << 20, 2), FatalError);
+    EXPECT_THROW(CompositionSpace(200000, 100000), FatalError);
 }
 
 TEST(CompositionSpaceTest, EnumerationIsLexicographicAndComplete)
