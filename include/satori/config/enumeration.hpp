@@ -24,8 +24,8 @@ namespace satori {
 /**
  * Enumerates compositions of @p units into @p parts positive integer
  * parts in lexicographic order. Every composition is precomputed at
- * construction, so unranking is a row copy and ranking costs O(parts)
- * table lookups.
+ * construction, so unranking returns a table row and ranking costs
+ * O(parts) table lookups.
  */
 class CompositionSpace
 {
