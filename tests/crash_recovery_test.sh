@@ -68,6 +68,20 @@ cmp "$WORK/ref.csv" "$WORK/res2.csv" \
 cmp "$WORK/ref.jsonl" "$WORK/res3.jsonl" \
     || fail "resumed JSONL trace differs from the uninterrupted reference"
 
+# --- scenario 4: kill while exploring -----------------------------------
+# The run settles at interval 39, so snapshots every 40 intervals are
+# all taken settled. Here the snapshot at interval 20 is taken mid-
+# exploration and intervals 21-25 re-execute from a restored BO engine.
+"$SIM" "${RUN_ARGS[@]}" --trace "$WORK/dead4.csv" \
+    --checkpoint-dir "$WORK/ck4x" --checkpoint-every 10 \
+    --kill-at 25 > /dev/null 2>&1
+[ $? -eq 137 ] || fail "exploring kill: expected exit 137"
+"$SIM" "${RUN_ARGS[@]}" --trace "$WORK/res4.csv" \
+    --checkpoint-dir "$WORK/ck4x" --checkpoint-every 10 \
+    --resume > /dev/null 2>&1 || fail "exploring resume exited $?"
+cmp "$WORK/ref.csv" "$WORK/res4.csv" \
+    || fail "resume from an exploring snapshot differs from the reference"
+
 # --- corruption: a bit flip is a hard error, never silent --------------
 SNAP=$(ls "$WORK/ck2"/snap.*.bin | tail -1)
 printf '\x01' | dd of="$SNAP" bs=1 seek=200 conv=notrunc 2> /dev/null
