@@ -75,14 +75,17 @@ class BoEngine
     [[nodiscard]] std::size_t numSamples() const { return gp_.numSamples(); }
 
     /**
-     * Serialize a deterministic refit recipe: the training set, the
-     * fitted kernel length scale, and the grid-refit phase. The GP
-     * factorization itself is not saved - refitting from the training
-     * set is pinned bit-identical to the incremental path.
+     * Serialize the engine as its recipe: the fitted kernel length
+     * scale and the grid-refit phase. The training set is the
+     * caller's (its goal records) and is not saved.
      */
     void saveState(persist::StateWriter& w) const;
 
-    /** Restore an engine saved by saveState. */
+    /**
+     * Restore an engine saved by saveState. The GP is left unfitted
+     * (ready() is false) until the next setSamples, whose full fit
+     * is bit-identical to the live engine's incremental update.
+     */
     void restoreState(persist::StateReader& r);
 
   private:

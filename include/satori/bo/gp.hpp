@@ -30,7 +30,8 @@ struct GpPrediction
 
 /**
  * Gaussian-process regression with the Matern 5/2 kernel and Gaussian
- * observation noise. The GP owns its training set. fit() is a full
+ * observation noise. The GP keeps its own copy of the fitted training
+ * set (the caller's records are the source of truth). fit() is a full
  * refit (O(n^3)); fitIncremental() recognizes a training set that
  * extends the fitted one by a single appended sample, reuses the
  * cached kernel matrix and extends the Cholesky factor in place,
@@ -115,9 +116,6 @@ class GaussianProcess
 
     /** Number of training samples in the current fit. */
     [[nodiscard]] std::size_t numSamples() const { return inputs_.size(); }
-
-    /** The fitted training inputs, in fit order. */
-    [[nodiscard]] const std::vector<RealVec>& inputs() const { return inputs_; }
 
     /** The fitted training targets (original scale), in fit order. */
     [[nodiscard]] const std::vector<double>& targets() const { return y_raw_; }

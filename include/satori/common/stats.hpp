@@ -82,12 +82,6 @@ class TimeSeries
     /** Mean of all values (0 if empty). */
     [[nodiscard]] double mean() const;
 
-    /**
-     * Mean over the window [t0, t1] (inclusive); 0 if no points fall
-     * inside the window.
-     */
-    [[nodiscard]] double meanOver(double t0, double t1) const;
-
   private:
     std::vector<double> times_;
     std::vector<double> values_;

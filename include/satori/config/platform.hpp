@@ -87,12 +87,6 @@ class PlatformSpec
     [[nodiscard]] static PlatformSpec paperTestbed();
 
     /**
-     * A smaller platform (8/8/8) used by multi-mix benchmark sweeps to
-     * keep exhaustive-oracle runs fast; shape-preserving.
-     */
-    [[nodiscard]] static PlatformSpec smallTestbed();
-
-    /**
      * The paper's testbed extended with an 8-unit RAPL-style power
      * budget - the fourth knob the conclusion says SATORI can handle.
      */

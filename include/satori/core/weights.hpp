@@ -83,9 +83,6 @@ class WeightController
     /** Restart both periods (used on job churn). */
     void resetPeriods();
 
-    /** Mean throughput weight over the *previous* full T_E window. */
-    [[nodiscard]] double lastEqualizationMeanWt() const { return last_eq_mean_wt_; }
-
     /** The options in force. */
     [[nodiscard]] const WeightOptions& options() const { return options_; }
 
@@ -108,8 +105,6 @@ class WeightController
     double period_start_fairness_ = -1.0;
     double w_tp_ = 0.5;
     double w_fp_ = 0.5;
-
-    double last_eq_mean_wt_ = 0.5;
 };
 
 } // namespace core

@@ -37,13 +37,6 @@ struct RepeatedResult
     Estimate throughput; ///< Normalized mean throughput per run.
     Estimate fairness;
     Estimate objective;  ///< 0.5 T + 0.5 F.
-
-    /**
-     * True when this result's objective is higher than @p other's by
-     * more than the sum of both confidence half-widths - a
-     * conservative "statistically clearly better" check.
-     */
-    [[nodiscard]] bool clearlyBeats(const RepeatedResult& other) const;
 };
 
 /**

@@ -60,18 +60,6 @@ class MissRatioCurve
     [[nodiscard]] static MissRatioCurve sCurve(double mpki_one, double mpki_floor,
                                  double knee_ways, double width);
 
-    /**
-     * A curve derived from a synthetic stack-distance histogram: a
-     * working set of @p ws_ways ways touched with geometric reuse
-     * decay @p reuse_decay, scaled so one way yields @p mpki_one.
-     * Models Mattson-style inclusion: more ways monotonically capture
-     * more of the reuse distribution.
-     */
-    [[nodiscard]] static MissRatioCurve fromStackDistances(double mpki_one,
-                                             double ws_ways,
-                                             double reuse_decay,
-                                             int max_ways);
-
     /** MPKI with @p ways allocated ways. @pre ways >= 1. */
     [[nodiscard]] double mpki(int ways) const;
 

@@ -56,8 +56,12 @@ namespace persist {
  * count and the dwell count; GoalRecorder::saveState drops each
  * sample's input vector (recomputed from its configuration).
  * v5: the harness "loop" section drops the throughput and fairness
- * time series; the harness keeps no per-interval series. */
-inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
+ * time series; the harness keeps no per-interval series.
+ * v6: BoEngine::saveState keeps only its recipe (length scale and
+ * grid-refit phase), not the training set, which the goal records
+ * already hold; WeightController::saveState drops the previous
+ * equalization period's mean weight, which no decision reads. */
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 
 /** Assembles one snapshot: named sections, then an atomic install. */
 class SnapshotWriter

@@ -21,6 +21,7 @@
 #include "satori/bo/engine.hpp"
 #include "satori/common/rng.hpp"
 #include "satori/config/enumeration.hpp"
+#include "satori/core/goal_record.hpp"
 #include "satori/policies/policy.hpp"
 
 namespace satori {
@@ -47,9 +48,8 @@ class ClitePolicy final : public PartitioningPolicy
     bo::BoEngine engine_;
     Rng rng_;
 
-    std::vector<Configuration> configs_; ///< Aligned with engine data.
-    std::vector<RealVec> xs_;
-    std::vector<double> ys_;
+    /** One scalar goal (the static objective) per evaluated config. */
+    core::GoalRecorder samples_;
 
     std::size_t init_left_;
     double best_seen_ = -1.0;

@@ -109,38 +109,18 @@ void
 BoEngine::saveState(persist::StateWriter& w) const
 {
     w.putDouble(gp_.kernel().lengthScale());
-    w.putBool(ready());
     w.putSize(fits_since_grid_);
-    w.putSize(gp_.inputs().size());
-    for (const RealVec& x : gp_.inputs())
-        w.putDoubleVec(x);
-    w.putDoubleVec(gp_.targets());
 }
 
 void
 BoEngine::restoreState(persist::StateReader& r)
 {
+    // The caller's next setSamples refits the unfitted GP from its
+    // own records; a full fit is bit-identical to the live engine's
+    // incremental update (pinned by the GP tests).
     const double length_scale = r.getDouble();
-    const bool fitted = r.getBool();
     fits_since_grid_ = r.getSize();
-    const std::size_t n = r.getSize();
-    std::vector<RealVec> inputs;
-    inputs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        inputs.push_back(r.getDoubleVec());
-    const std::vector<double> targets = r.getDoubleVec();
-    if (targets.size() != inputs.size())
-        SATORI_FATAL("BO engine state has " +
-                     std::to_string(inputs.size()) + " inputs but " +
-                     std::to_string(targets.size()) + " targets");
-    // Rebuild the GP at the saved length scale and refit the full
-    // training set. A full fit is bit-identical to the incremental
-    // update path (pinned by the GP tests), so the resumed posterior
-    // matches the uninterrupted run exactly. A plain refit does not
-    // advance fits_since_grid_, preserving the grid-refit timing.
     gp_ = GaussianProcess(Matern52Kernel(length_scale), kNoiseVariance);
-    if (fitted && !inputs.empty())
-        gp_.fit(inputs, targets);
 }
 
 } // namespace bo

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "satori/analysis/invariants.hpp"
 #include "satori/common/logging.hpp"
@@ -272,37 +273,37 @@ GaussianProcess::fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
                                         const std::vector<double>& grid)
 {
     SATORI_ASSERT(!grid.empty());
-    // Keep the best candidate's full fitted state as the grid runs so
-    // the winner can be restored directly instead of paying an extra
-    // O(n^3) refit at the end.
+    SATORI_ASSERT(inputs.size() == targets.size());
+    SATORI_ASSERT(!inputs.empty());
+    // The training set is copied once; each length scale rebuilds the
+    // kernel cache and factor from it. The standardized targets do not
+    // depend on the length scale, so only the kernel, factor, alpha,
+    // cache and LML of the best candidate so far are kept aside, and
+    // the winner is restored without an extra O(n^3) refit.
+    inputs_ = inputs;
+    y_raw_ = targets;
     double best_lml = -std::numeric_limits<double>::infinity();
     Matern52Kernel best_kernel = kernel_;
     std::unique_ptr<linalg::Cholesky> best_chol;
     std::vector<double> best_alpha;
-    std::vector<double> best_y_std;
-    double best_y_mean = 0.0;
-    double best_y_scale = 1.0;
     linalg::Matrix best_cache;
     for (double ls : grid) {
         kernel_ = Matern52Kernel(ls, kernel_.variance());
-        fit(inputs, targets);
+        buildKernelCache();
+        refitFromCache();
         if (log_marginal_ > best_lml) {
             best_lml = log_marginal_;
             best_kernel = kernel_;
-            best_chol = std::make_unique<linalg::Cholesky>(*chol_);
-            best_alpha = alpha_;
-            best_y_std = y_std_;
-            best_y_mean = y_mean_;
-            best_y_scale = y_scale_;
-            best_cache = k_cache_;
+            // Each refit builds a fresh factor and alpha and rewrites
+            // every cache entry, so the best's storage can be taken.
+            best_chol = std::move(chol_);
+            std::swap(best_alpha, alpha_);
+            std::swap(best_cache, k_cache_);
         }
     }
     kernel_ = best_kernel;
     chol_ = std::move(best_chol);
     alpha_ = std::move(best_alpha);
-    y_std_ = std::move(best_y_std);
-    y_mean_ = best_y_mean;
-    y_scale_ = best_y_scale;
     k_cache_ = std::move(best_cache);
     log_marginal_ = best_lml;
 }

@@ -57,20 +57,6 @@ TimeSeries::mean() const
 }
 
 double
-TimeSeries::meanOver(double t0, double t1) const
-{
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < times_.size(); ++i) {
-        if (times_[i] >= t0 && times_[i] <= t1) {
-            sum += values_[i];
-            ++n;
-        }
-    }
-    return n ? sum / static_cast<double>(n) : 0.0;
-}
-
-double
 percentile(std::vector<double> v, double pct)
 {
     SATORI_ASSERT(!v.empty());

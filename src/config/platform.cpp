@@ -79,16 +79,6 @@ PlatformSpec::paperTestbed()
 }
 
 PlatformSpec
-PlatformSpec::smallTestbed()
-{
-    PlatformSpec p;
-    p.addResource(ResourceKind::Cores, 8);
-    p.addResource(ResourceKind::LlcWays, 8);
-    p.addResource(ResourceKind::MemBandwidth, 8);
-    return p;
-}
-
-PlatformSpec
 PlatformSpec::extendedTestbed()
 {
     PlatformSpec p = paperTestbed();

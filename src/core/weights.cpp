@@ -100,7 +100,6 @@ WeightController::update(double throughput, double fairness)
     sum_wt_ += w_t;
     ++t_e_iters_;
     if (t_e_iters_ >= te_iters) {
-        last_eq_mean_wt_ = sum_wt_ / static_cast<double>(t_e_iters_);
         t_e_iters_ = 0;
         sum_wt_ = 0.0;
         out.equalization_boundary = true;
@@ -130,7 +129,6 @@ WeightController::saveState(persist::StateWriter& w) const
     w.putDouble(period_start_fairness_);
     w.putDouble(w_tp_);
     w.putDouble(w_fp_);
-    w.putDouble(last_eq_mean_wt_);
 }
 
 void
@@ -143,7 +141,6 @@ WeightController::restoreState(persist::StateReader& r)
     period_start_fairness_ = r.getDouble();
     w_tp_ = r.getDouble();
     w_fp_ = r.getDouble();
-    last_eq_mean_wt_ = r.getDouble();
 }
 
 } // namespace core

@@ -35,13 +35,6 @@ Estimate::toString(int precision) const
     return buf;
 }
 
-bool
-RepeatedResult::clearlyBeats(const RepeatedResult& other) const
-{
-    return objective.mean - other.objective.mean >
-           objective.ci95 + other.objective.ci95;
-}
-
 RepeatedResult
 repeatPolicy(const PlatformSpec& platform, const workloads::JobMix& mix,
              const std::string& policy_name,

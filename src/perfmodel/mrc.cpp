@@ -62,36 +62,6 @@ MissRatioCurve::sCurve(double mpki_one, double mpki_floor,
     return table(std::move(t));
 }
 
-MissRatioCurve
-MissRatioCurve::fromStackDistances(double mpki_one, double ws_ways,
-                                   double reuse_decay, int max_ways)
-{
-    SATORI_ASSERT(mpki_one >= 0.0 && ws_ways > 0.0);
-    SATORI_ASSERT(reuse_decay > 0.0 && reuse_decay < 1.0);
-    SATORI_ASSERT(max_ways >= 1);
-    // Synthetic stack-distance mass: P(distance <= w ways) follows a
-    // truncated geometric CDF over the working set; misses are the
-    // un-captured mass. Normalized so mpki(1) == mpki_one.
-    std::vector<double> t(static_cast<std::size_t>(max_ways));
-    auto captured = [&](double w) {
-        const double frac = std::min(w / ws_ways, 1.0);
-        // Geometric reuse decay: early ways capture the hottest lines.
-        return (1.0 - std::pow(reuse_decay, frac * 8.0)) /
-               (1.0 - std::pow(reuse_decay, 8.0));
-    };
-    const double miss_at_one = 1.0 - captured(1.0);
-    SATORI_ASSERT(miss_at_one > 0.0);
-    for (int w = 1; w <= max_ways; ++w) {
-        const double miss = 1.0 - captured(static_cast<double>(w));
-        t[static_cast<std::size_t>(w - 1)] =
-            mpki_one * std::max(miss, 0.0) / miss_at_one;
-    }
-    // Enforce monotone non-increasing despite float rounding.
-    for (std::size_t i = 1; i < t.size(); ++i)
-        t[i] = std::min(t[i], t[i - 1]);
-    return table(std::move(t));
-}
-
 double
 MissRatioCurve::mpki(int ways) const
 {

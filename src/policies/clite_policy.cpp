@@ -37,7 +37,7 @@ ClitePolicy::ClitePolicy(const PlatformSpec& platform,
       // CLITE explores with uniform candidates only - no structured
       // seeds or concentration sets.
       candgen_(space_, bo::CandidateOptions{false}),
-      rng_(kSeed), init_left_(kInitSamples)
+      rng_(kSeed), samples_(1, kWindow), init_left_(kInitSamples)
 {
 }
 
@@ -57,14 +57,7 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
     const double y = objective(obs);
 
     // Traditional BO bookkeeping: one scalar per evaluated config.
-    configs_.push_back(obs.config);
-    xs_.push_back(obs.config.normalizedVector());
-    ys_.push_back(y);
-    if (xs_.size() > kWindow) {
-        configs_.erase(configs_.begin());
-        xs_.erase(xs_.begin());
-        ys_.erase(ys_.begin());
-    }
+    samples_.add(obs.config, {y});
 
     if (holding_) {
         // Resume sampling only if performance degrades noticeably.
@@ -101,24 +94,24 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
         return space_.sample(rng_);
     }
 
-    engine_.setSamples(xs_, ys_);
+    // The objective is never negative, so 0.0 + 1.0 * y == y exactly.
+    const std::vector<double> ys = samples_.combined({1.0});
+    engine_.setSamples(samples_.inputs(), ys);
+    // The best *observed* configuration, first of equal maxima.
+    const Configuration& incumbent =
+        samples_
+            .sample(static_cast<std::size_t>(
+                std::max_element(ys.begin(), ys.end()) - ys.begin()))
+            .config;
 
     if (stall_ >= kStallIntervals) {
-        // Hold the best *observed* configuration (CLITE's decision
-        // once sampling stops).
-        std::size_t best_i = 0;
-        for (std::size_t i = 1; i < ys_.size(); ++i)
-            if (ys_[i] > ys_[best_i])
-                best_i = i;
+        // Hold it (CLITE's decision once sampling stops).
         holding_ = true;
-        hold_config_ = configs_[best_i];
+        hold_config_ = incumbent;
         hold_reference_ = -1.0;
         return hold_config_;
     }
 
-    const Configuration& incumbent =
-        configs_[static_cast<std::size_t>(
-            std::max_element(ys_.begin(), ys_.end()) - ys_.begin())];
     std::vector<Configuration> candidates =
         candgen_.generate(incumbent, rng_);
     return candidates[engine_.suggestIndex(bo::SoaPoints(candidates))];
@@ -127,9 +120,7 @@ ClitePolicy::decide(const sim::IntervalObservation& obs)
 void
 ClitePolicy::reset()
 {
-    configs_.clear();
-    xs_.clear();
-    ys_.clear();
+    samples_.clear();
     init_left_ = kInitSamples;
     best_seen_ = -1.0;
     stall_ = 0;

@@ -273,7 +273,11 @@ TEST(AnalysisAuditorIntegration, CleanRunReportsZeroViolations)
 {
 #if defined(SATORI_AUDIT_ENABLED) && SATORI_AUDIT_ENABLED
     analysis::globalAuditor().clear();
-    const PlatformSpec platform = PlatformSpec::smallTestbed();
+    // A small 8/8/8 platform keeps the audited run short.
+    PlatformSpec platform;
+    platform.addResource(ResourceKind::Cores, 8);
+    platform.addResource(ResourceKind::LlcWays, 8);
+    platform.addResource(ResourceKind::MemBandwidth, 8);
     auto mix = workloads::mixOf({"canneal", "streamcluster", "vips"});
     auto server = harness::makeServer(platform, mix);
     core::SatoriController controller(platform, server.numJobs());

@@ -309,35 +309,40 @@ TEST(GpIncrementalTest, GridFitCachingMatchesDirectBestFit)
 
 TEST(EngineIncrementalTest, RestoredFullFitMatchesLiveSuggestions)
 {
-    // The engine-level pin: over the training-set shapes the
-    // controller feeds (appends, a sliding full window, a reactivation
-    // trim, a grid refit every 20th fit), the live engine's
-    // incremental state gives the same suggestions and predictions as
-    // a fresh engine restored from its saveState, which runs one full
-    // fit of the whole training set.
+    // The engine-level pin of the snapshot recipe: over the
+    // training-set shapes the controller feeds (appends, a sliding
+    // full window, a reactivation trim, a grid refit every 20th fit),
+    // an engine restored from the live engine's saved bytes and given
+    // the live engine's next training set - one full fit on an
+    // unfitted GP - suggests and predicts exactly as the live engine's
+    // incremental update does.
     Rng rng(2718);
     BoEngine live;
 
     std::vector<RealVec> candidates;
     for (int c = 0; c < 24; ++c)
         candidates.push_back(randomPoint(rng, 3));
+    const SoaPoints packed(candidates);
 
     std::vector<RealVec> xs;
     std::vector<double> ys;
     const auto step = [&](const std::string& what) {
-        live.setSamples(xs, ys);
         persist::StateWriter w;
         live.saveState(w);
-        persist::StateReader r(w.bytes(), "engine-full-fit");
-        BoEngine refit;
-        refit.restoreState(r);
-        EXPECT_EQ(live.suggestIndex(SoaPoints(candidates)),
-                  refit.suggestIndex(SoaPoints(candidates)))
+        persist::StateReader r(w.bytes(), "engine-recipe");
+        BoEngine restored;
+        restored.restoreState(r);
+        EXPECT_FALSE(restored.ready()) << what;
+        live.setSamples(xs, ys);
+        restored.setSamples(xs, ys);
+        EXPECT_EQ(live.suggestIndex(packed), restored.suggestIndex(packed))
             << what;
-        const auto pl = live.predict(candidates[0]);
-        const auto pr = refit.predict(candidates[0]);
-        EXPECT_EQ(pl.mean, pr.mean) << what;
-        EXPECT_EQ(pl.variance, pr.variance) << what;
+        for (const RealVec& c : candidates) {
+            const auto pl = live.predict(c);
+            const auto pr = restored.predict(c);
+            EXPECT_EQ(pl.mean, pr.mean) << what;
+            EXPECT_EQ(pl.variance, pr.variance) << what;
+        }
     };
     for (int i = 0; i < 30; ++i) {
         xs.push_back(randomPoint(rng, 3));
@@ -529,23 +534,35 @@ TEST(EngineTest, StateRoundTripsThroughPersist)
 {
     std::vector<RealVec> xs;
     std::vector<double> ys;
-    makeDataset(30, 2, 96, xs, ys);
+    makeDataset(31, 2, 96, xs, ys);
     std::vector<RealVec> candidates;
     std::vector<double> cys;
     makeDataset(60, 2, 97, candidates, cys);
 
+    // The saved engine is its recipe, whatever the training-set size.
     BoEngine engine;
-    for (std::size_t n = 20; n <= xs.size(); ++n)
+    std::size_t bytes_at_20 = 0;
+    for (std::size_t n = 1; n <= 30; ++n) {
         engine.setSamples({xs.begin(), xs.begin() + n},
                           {ys.begin(), ys.begin() + n});
-
+        if (n == 20) {
+            persist::StateWriter w20;
+            engine.saveState(w20);
+            bytes_at_20 = w20.bytes().size();
+        }
+    }
     persist::StateWriter w;
     engine.saveState(w);
+    EXPECT_EQ(w.bytes().size(), bytes_at_20);
+
     persist::StateReader r(w.bytes(), "engine-roundtrip");
     BoEngine restored;
     restored.restoreState(r);
+    EXPECT_FALSE(restored.ready());
+    engine.setSamples(xs, ys);
+    restored.setSamples(xs, ys);
     EXPECT_EQ(restored.numSamples(), engine.numSamples());
-    EXPECT_DOUBLE_EQ(restored.bestObserved(), engine.bestObserved());
+    EXPECT_EQ(restored.bestObserved(), engine.bestObserved());
     const SoaPoints packed(candidates);
     EXPECT_EQ(restored.suggestIndex(packed), engine.suggestIndex(packed));
 }

@@ -201,21 +201,6 @@ TEST(RepeatPolicyTest, AggregatesAcrossSeeds)
     EXPECT_NE(rep.objective.toString().find("+/-"), std::string::npos);
 }
 
-TEST(RepeatPolicyTest, ClearlyBeatsIsConservative)
-{
-    RepeatedResult a, b;
-    a.objective.mean = 0.8;
-    a.objective.ci95 = 0.02;
-    b.objective.mean = 0.7;
-    b.objective.ci95 = 0.02;
-    EXPECT_TRUE(a.clearlyBeats(b));
-    EXPECT_FALSE(b.clearlyBeats(a));
-    // Overlapping intervals: no clear winner either way.
-    b.objective.mean = 0.79;
-    EXPECT_FALSE(a.clearlyBeats(b));
-    EXPECT_FALSE(b.clearlyBeats(a));
-}
-
 TEST(RepeatPolicyTest, SingleRunHasNoInterval)
 {
     ExperimentOptions opt;

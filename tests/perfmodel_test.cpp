@@ -62,14 +62,6 @@ TEST(MrcTest, SCurveHasCliffAtKnee)
         EXPECT_GE(mrc.mpki(w), mrc.mpki(w + 1));
 }
 
-TEST(MrcTest, StackDistanceCurveMonotone)
-{
-    const auto mrc = MissRatioCurve::fromStackDistances(20.0, 6.0, 0.5, 12);
-    EXPECT_NEAR(mrc.mpki(1), 20.0, 1e-9);
-    for (int w = 1; w < 12; ++w)
-        EXPECT_GE(mrc.mpki(w), mrc.mpki(w + 1));
-}
-
 TEST(PhaseSequenceTest, AdvanceWrapsCyclically)
 {
     PhaseParams a, b;
