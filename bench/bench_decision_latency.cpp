@@ -36,12 +36,14 @@
  * decisions.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "satori/satori.hpp"
@@ -95,22 +97,21 @@ const Cell kCells[] = {
     {"fast", 200, 10240},
 };
 
-RealVec
-randomInput(Rng& rng)
+/** Fill the kDims coordinates at @p x uniformly. */
+void
+randomInto(Rng& rng, double* x)
 {
-    RealVec x(kDims);
-    for (double& v : x)
-        v = rng.uniform();
-    return x;
+    for (std::size_t d = 0; d < kDims; ++d)
+        x[d] = rng.uniform();
 }
 
 /** Smooth synthetic objective with mild observation noise. */
 double
-syntheticTarget(const RealVec& x, Rng& rng)
+syntheticTarget(const double* x, Rng& rng)
 {
     double d2 = 0.0;
-    for (const double v : x)
-        d2 += (v - 0.5) * (v - 0.5);
+    for (std::size_t d = 0; d < kDims; ++d)
+        d2 += (x[d] - 0.5) * (x[d] - 0.5);
     return -d2 + 0.05 * rng.gaussian();
 }
 
@@ -125,28 +126,28 @@ void
 runTrial(const Cell& cell, std::uint64_t seed, PathStats& stats)
 {
     Rng rng(seed);
-    std::vector<RealVec> inputs;
+    linalg::Matrix inputs(cell.n, kDims);
     std::vector<double> targets;
-    inputs.reserve(cell.n);
     targets.reserve(cell.n);
     for (std::size_t i = 0; i < cell.n; ++i) {
-        inputs.push_back(randomInput(rng));
-        targets.push_back(syntheticTarget(inputs.back(), rng));
+        randomInto(rng, inputs.rowPtr(i));
+        targets.push_back(syntheticTarget(inputs.rowPtr(i), rng));
     }
-    std::vector<RealVec> candidates;
-    candidates.reserve(cell.candidates);
-    for (std::size_t c = 0; c < cell.candidates; ++c)
-        candidates.push_back(randomInput(rng));
+    std::vector<RealVec> candidates(cell.candidates, RealVec(kDims));
+    for (RealVec& c : candidates)
+        randomInto(rng, c.data());
 
     const bool full = std::strcmp(cell.path, "full") == 0;
     bo::BoEngine engine;
     if (!full) {
-        std::vector<RealVec> warm(inputs.begin(), inputs.end() - 1);
+        linalg::Matrix warm(cell.n - 1, kDims);
+        std::copy(inputs.rowPtr(0), inputs.rowPtr(cell.n - 1),
+                  warm.rowPtr(0));
         std::vector<double> warm_y(targets.begin(), targets.end() - 1);
-        engine.setSamples(warm, warm_y);
+        engine.setSamples(std::move(warm), warm_y);
     }
     const std::uint64_t t0 = obs::steadyNowNs();
-    engine.setSamples(inputs, targets);
+    engine.setSamples(std::move(inputs), targets);
     const std::uint64_t t1 = obs::steadyNowNs();
     std::size_t pick = 0;
     if (!full) {

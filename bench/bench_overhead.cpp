@@ -16,19 +16,19 @@ using namespace satori;
 namespace {
 
 /** Realistic training set: n share-normalized configs + objectives. */
-std::pair<std::vector<RealVec>, std::vector<double>>
+std::pair<linalg::Matrix, std::vector<double>>
 trainingSet(std::size_t n)
 {
     const PlatformSpec platform = PlatformSpec::paperTestbed();
     ConfigurationSpace space(platform, 5);
     Rng rng(1);
-    std::vector<RealVec> xs;
+    linalg::Matrix xs(n, platform.numResources() * 5);
     std::vector<double> ys;
     for (std::size_t i = 0; i < n; ++i) {
-        xs.push_back(space.sample(rng).normalizedVector());
+        space.sample(rng).normalizedInto(xs.rowPtr(i), 1);
         ys.push_back(rng.uniform(0.4, 0.8));
     }
-    return {xs, ys};
+    return {std::move(xs), std::move(ys)};
 }
 
 void

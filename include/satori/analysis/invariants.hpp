@@ -48,7 +48,7 @@ enum class CheckId
     BoPosteriorVariance, ///< Posterior variance below -epsilon.
     BoCholeskyJitter,    ///< Factorization needed large diagonal jitter.
     BoKernelNotSpd,      ///< Kernel matrix asymmetric or not SPD.
-    BoTrainingSet,       ///< Ragged inputs or non-finite targets.
+    BoTrainingSet,       ///< Row/target count mismatch or non-finite targets.
 
     // Monitor/trace consistency pack.
     MonitorSizeMismatch,    ///< Observation vector sizes disagree.
@@ -148,10 +148,10 @@ class Auditor
                            int line);
 
     /**
-     * GP training set: all @p inputs must share one dimension and all
-     * @p targets must be finite.
+     * GP training set: one @p inputs row per target, and every
+     * @p targets value finite.
      */
-    void checkTrainingSet(const std::vector<RealVec>& inputs,
+    void checkTrainingSet(const linalg::Matrix& inputs,
                           const std::vector<double>& targets,
                           const char* file, int line);
 

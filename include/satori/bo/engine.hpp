@@ -27,7 +27,8 @@ namespace bo {
 /**
  * A Bayesian-optimization engine over real-vector inputs.
  *
- * Inputs are share-normalized configuration vectors; targets are the
+ * Inputs are share-normalized configuration rows of one n x D block
+ * (GoalRecorder::inputs() packs it from the records); targets are the
  * (possibly re-weighted) objective values. The engine is agnostic to
  * how targets were constructed - SATORI rebuilds them every iteration
  * from its per-goal records.
@@ -39,12 +40,14 @@ class BoEngine
 
     /**
      * Replace the full training set and refit the proxy model
-     * (SATORI's reconstruction path). Every 20th call refits over a
-     * fixed length-scale grid (once 8 samples exist); otherwise the
-     * GP's incremental fit takes the rank-1 append when the set grew
-     * by one sample. @pre equal non-zero sizes.
+     * (SATORI's reconstruction path). @p inputs holds one row per
+     * sample and is moved into the GP, which keeps it. Every 20th
+     * call refits over a fixed length-scale grid (once 8 samples
+     * exist); otherwise the GP's incremental fit takes the rank-1
+     * append when the block grew by one row.
+     * @pre inputs.rows() == targets.size() > 0.
      */
-    void setSamples(const std::vector<RealVec>& inputs,
+    void setSamples(linalg::Matrix inputs,
                     const std::vector<double>& targets);
 
     /** True once at least one sample is fitted. */

@@ -14,6 +14,7 @@
 #include "satori/bo/kernel.hpp"
 #include "satori/common/types.hpp"
 #include "satori/linalg/cholesky.hpp"
+#include "satori/linalg/matrix.hpp"
 
 namespace satori {
 namespace bo {
@@ -30,15 +31,17 @@ struct GpPrediction
 
 /**
  * Gaussian-process regression with the Matern 5/2 kernel and Gaussian
- * observation noise. The GP keeps its own copy of the fitted training
- * set (the caller's records are the source of truth). fit() is a full
- * refit (O(n^3)); fitIncremental() recognizes a training set that
- * extends the fitted one by a single appended sample, reuses the
- * cached kernel matrix and extends the Cholesky factor in place,
- * dropping that update to O(n^2) while producing results
- * bit-identical to the full refit (the appended factor row is
- * computed with exactly the refit's arithmetic). Predictions are
- * O(n) mean / O(n^2) variance.
+ * observation noise. The training inputs are one row-major n x D
+ * block, one row per sample; every fit takes the block by value and
+ * keeps it, so a caller that moves its block in (the engine passes
+ * the one GoalRecorder::inputs() packs) costs no copy. The caller's
+ * records stay the source of truth. fit() is a full refit (O(n^3));
+ * fitIncremental() recognizes a block that extends the fitted one by
+ * a single appended row, reuses the cached kernel matrix and extends
+ * the Cholesky factor in place, dropping that update to O(n^2) while
+ * producing results bit-identical to the full refit (the appended
+ * factor row is computed with exactly the refit's arithmetic).
+ * Predictions are O(n) mean / O(n^2) variance.
  *
  * Targets are internally standardized (zero mean, unit variance) so
  * kernel signal variance ~1 remains well-matched as the objective
@@ -57,15 +60,14 @@ class GaussianProcess
                              double noise_variance = 1e-4);
 
     /**
-     * Fit to @p inputs (n vectors, equal length) and @p targets
-     * (length n). Replaces any previous fit. @pre n >= 1.
+     * Fit to @p inputs (n rows of D) and @p targets (length n).
+     * Replaces any previous fit. @pre n >= 1.
      */
-    void fit(const std::vector<RealVec>& inputs,
-             const std::vector<double>& targets);
+    void fit(linalg::Matrix inputs, const std::vector<double>& targets);
 
     /**
-     * Like fit(), but when @p inputs is the fitted training set with
-     * one input appended, only the new cross-covariance row is
+     * Like fit(), but when @p inputs is the fitted block with one row
+     * appended, only the new cross-covariance row is
      * computed and the Cholesky factor is extended in place (O(n^2)).
      * An SPD failure of that append (e.g. a duplicated input at zero
      * jitter) refactorizes the cached kernel matrix from scratch, so
@@ -75,13 +77,17 @@ class GaussianProcess
      * negative merely costs a full refit; results are bit-identical
      * to fit() on every path.
      */
-    void fitIncremental(const std::vector<RealVec>& inputs,
+    void fitIncremental(linalg::Matrix inputs,
                         const std::vector<double>& targets);
 
     /** True once fit() succeeded with at least one sample. */
     [[nodiscard]] bool isFitted() const { return fitted_; }
 
-    /** Posterior mean/variance at @p x (in the original target scale). */
+    /**
+     * Posterior mean/variance at @p x (in the original target scale):
+     * the per-point reference the batched paths are pinned against.
+     * @pre x has D coordinates.
+     */
     [[nodiscard]] GpPrediction predict(const RealVec& x) const;
 
     /**
@@ -110,12 +116,12 @@ class GaussianProcess
      * with the highest log marginal likelihood. Cheap-and-cheerful
      * hyperparameter adaptation suitable for online use.
      */
-    void fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
+    void fitWithLengthScaleGrid(linalg::Matrix inputs,
                                 const std::vector<double>& targets,
                                 const std::vector<double>& grid);
 
     /** Number of training samples in the current fit. */
-    [[nodiscard]] std::size_t numSamples() const { return inputs_.size(); }
+    [[nodiscard]] std::size_t numSamples() const { return inputs_.rows(); }
 
     /** The fitted training targets (original scale), in fit order. */
     [[nodiscard]] const std::vector<double>& targets() const { return y_raw_; }
@@ -153,21 +159,21 @@ class GaussianProcess
     void standardizeAndSolve();
 
     /**
-     * Grow k_cache_/inputs_ by @p x and try the O(n^2) factor append;
-     * false means the factor needs a fresh jitter-escalated
-     * refactorization (refitFromCache) - the cache and inputs are
-     * extended either way.
+     * Grow k_cache_ by the last row of inputs_ (the cache covers the
+     * rows before it) and try the O(n^2) factor append; false means
+     * the factor needs a fresh jitter-escalated refactorization
+     * (refitFromCache) - the cache is extended either way.
      */
-    [[nodiscard]] bool tryExtendFactor(const RealVec& x);
+    [[nodiscard]] bool tryExtendFactor();
 
-    /** inputs_ bitwise-equal to the first inputs_.size() of @p other? */
-    [[nodiscard]] bool samePrefix(const std::vector<RealVec>& other) const;
+    /** inputs_ bitwise-equal to the leading rows of @p other? */
+    [[nodiscard]] bool samePrefix(const linalg::Matrix& other) const;
 
     Matern52Kernel kernel_;
     double noise_variance_;
     bool fitted_ = false;
 
-    std::vector<RealVec> inputs_;
+    linalg::Matrix inputs_;       // n x D training block, one row per sample
     std::vector<double> y_raw_;
     std::vector<double> y_std_;   // standardized targets
     double y_mean_ = 0.0;

@@ -32,8 +32,8 @@ class SoaPoints
 
     /**
      * Pack the configurations' share-normalized vectors, written
-     * straight into the block (bit-identical to packing their
-     * normalizedVector()s). @pre equal shapes.
+     * straight into the block (Configuration::normalizedInto).
+     * @pre equal shapes.
      */
     explicit SoaPoints(const std::vector<Configuration>& configs);
 
@@ -70,17 +70,20 @@ class Matern52Kernel
     explicit Matern52Kernel(double length_scale = 0.3,
                             double signal_variance = 1.0);
 
-    /** Covariance between inputs @p a and @p b (equal length). */
-    [[nodiscard]] double covariance(const RealVec& a, const RealVec& b) const;
+    /** Covariance between the @p dims-long points @p a and @p b. */
+    [[nodiscard]] double covariance(const double* a, const double* b,
+                                    std::size_t dims) const;
 
     /**
-     * One covariance row: out[i] = k(x, pts[i]) for every point. Each
-     * element is computed with exactly covariance()'s arithmetic (the
-     * batching only keeps the distance loop inlined), so results are
-     * bit-identical to calling covariance() per point.
-     * @pre out has room for pts.size() values.
+     * One covariance row against a row-major block: out[i] = k(x,
+     * pts[i]) for the first @p count rows of @p pts, each @p dims
+     * long (so @p x is too). The distance accumulation runs
+     * dimensions in ascending order per point, so every element is
+     * bit-identical to covariance() on that pair.
+     * @pre out has room for @p count values.
      */
-    void covarianceRow(const RealVec& x, const std::vector<RealVec>& pts,
+    void covarianceRow(const double* x, const double* pts,
+                       std::size_t count, std::size_t dims,
                        double* out) const;
 
     /**
@@ -89,10 +92,10 @@ class Matern52Kernel
      * covariance(q, pts[c]) - the SoA layout only changes which loop
      * is innermost (the distance accumulation still runs dimensions
      * in ascending order per point). @pre out has room for
-     * end - begin values; pts.dims() matches q.
+     * end - begin values; @p q has pts.dims() coordinates.
      */
     void covarianceCross(const SoaPoints& pts, std::size_t begin,
-                         std::size_t end, const RealVec& q,
+                         std::size_t end, const double* q,
                          double* out) const;
 
     /** k(x, x): the signal variance. */

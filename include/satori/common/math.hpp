@@ -35,14 +35,6 @@ namespace satori {
 /** Coefficient of variation (stddev / mean); 0 if mean is 0. */
 [[nodiscard]] double coefficientOfVariation(const std::vector<double>& v);
 
-/** Squared Euclidean distance between equal-length vectors. */
-[[nodiscard]] double squaredDistance(const std::vector<double>& a,
-                       const std::vector<double>& b);
-
-/** Euclidean distance between equal-length vectors. */
-[[nodiscard]] double euclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b);
-
 /** Binomial coefficient C(n, k) computed in unsigned 64-bit arithmetic. */
 [[nodiscard]] std::uint64_t binomial(std::uint64_t n, std::uint64_t k);
 

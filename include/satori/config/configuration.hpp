@@ -85,18 +85,13 @@ class Configuration
                                         std::size_t num_jobs);
 
     /**
-     * Flatten to a share-normalized real vector of dimension
-     * numResources x numJobs: element (r * numJobs + j) is job j's
-     * fraction of resource r. This is the GP input representation and
-     * the space in which the paper's Fig. 15 distances are computed
-     * (scaled back to units there).
-     */
-    [[nodiscard]] RealVec normalizedVector() const;
-
-    /**
-     * normalizedVector() written in place: element d goes to
-     * out[d * stride], so a caller can pack many configurations
-     * straight into a structure-of-arrays block.
+     * Flatten to share-normalized reals, numResources x numJobs of
+     * them: element d = (r * numJobs + j), job j's fraction of
+     * resource r, goes to out[d * stride]. This is the GP input
+     * representation (stride 1 writes a training-block row, stride
+     * C a structure-of-arrays candidate block) and the space in which
+     * the paper's Fig. 15 distances are computed (scaled back to
+     * units there).
      */
     void normalizedInto(double* out, std::size_t stride) const;
 

@@ -18,6 +18,7 @@
 
 #include "satori/common/types.hpp"
 #include "satori/config/configuration.hpp"
+#include "satori/linalg/matrix.hpp"
 
 namespace satori {
 
@@ -32,7 +33,6 @@ namespace core {
 struct GoalSample
 {
     Configuration config;
-    RealVec x;                    ///< Share-normalized input vector.
     std::vector<double> goals;    ///< Normalized goal values in [0, 1].
 };
 
@@ -62,8 +62,12 @@ class GoalRecorder
     /** Sample access, oldest first. */
     [[nodiscard]] const GoalSample& sample(std::size_t i) const;
 
-    /** All input vectors, oldest first. */
-    [[nodiscard]] std::vector<RealVec> inputs() const;
+    /**
+     * The GP training block, oldest first: row i is sample i's
+     * share-normalized configuration (Configuration::normalizedInto),
+     * packed on each call. Empty (0 x 0) when no samples are retained.
+     */
+    [[nodiscard]] linalg::Matrix inputs() const;
 
     /**
      * Reconstruct the combined objective for every retained sample:
@@ -93,9 +97,9 @@ class GoalRecorder
     void clear();
 
     /**
-     * Serialize the retained sample window (checkpoint recovery).
-     * Input vectors are not written: they are a pure function of each
-     * sample's configuration and are recomputed on restore.
+     * Serialize the retained sample window (checkpoint recovery):
+     * configurations and goal values. The training block is not
+     * written; inputs() packs it from the configurations.
      */
     void saveState(persist::StateWriter& w) const;
 

@@ -47,9 +47,6 @@ std::unique_ptr<policies::PartitioningPolicy> makePolicy(
 /** The paper's Fig. 7 comparison set, ordered as plotted. */
 [[nodiscard]] std::vector<std::string> comparisonPolicyNames();
 
-/** All SATORI variants. */
-[[nodiscard]] std::vector<std::string> satoriVariantNames();
-
 } // namespace harness
 } // namespace satori
 

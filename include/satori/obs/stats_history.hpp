@@ -127,9 +127,6 @@ class StatsHistory
     /** Approximate bytes held by retained points and series names. */
     [[nodiscard]] std::size_t approxBytes() const;
 
-    /** Sorted names of every series seen (retained or not). */
-    [[nodiscard]] std::vector<std::string> seriesNames() const;
-
     /** The kind of @p series, or nullopt if unknown. */
     [[nodiscard]] std::optional<SeriesKind>
     seriesKind(const std::string& series) const;

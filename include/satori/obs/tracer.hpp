@@ -90,9 +90,6 @@ class Tracer
         return events_;
     }
 
-    /** Number of currently open (unclosed) spans. */
-    [[nodiscard]] std::size_t openSpans() const { return open_.size(); }
-
     /**
      * Chrome trace_event JSON ("X" complete events, microsecond
      * timestamps rebased to the first span). Loads in

@@ -76,9 +76,6 @@ class PhaseSequence
      */
     void advance(Instructions instructions);
 
-    /** Number of distinct phases in the cycle. */
-    [[nodiscard]] std::size_t numPhases() const { return phases_.size(); }
-
     /** Phase by index. */
     [[nodiscard]] const PhaseParams& phase(std::size_t i) const;
 
@@ -91,7 +88,8 @@ class PhaseSequence
     /**
      * Jump to phase @p index with @p progress instructions already
      * retired inside it (checkpoint recovery).
-     * @pre index < numPhases(); 0 <= progress < phase(index).length.
+     * @pre index < the number of phases; 0 <= progress <
+     *      phase(index).length.
      */
     void seek(std::size_t index, Instructions progress);
 

@@ -94,9 +94,6 @@ class StateReader
     /** Bytes consumed so far. */
     [[nodiscard]] std::size_t offset() const { return pos_; }
 
-    /** True once every byte has been consumed. */
-    [[nodiscard]] bool atEnd() const { return pos_ == data_.size(); }
-
     /**
      * Assert full consumption; throws FatalError naming the context
      * and the number of trailing bytes otherwise. restoreState()

@@ -113,9 +113,6 @@ class SnapshotReader
      */
     [[nodiscard]] StateReader section(const std::string& tag) const;
 
-    /** True if a section with @p tag exists. */
-    [[nodiscard]] bool hasSection(const std::string& tag) const;
-
     /** The file this snapshot was loaded from. */
     [[nodiscard]] const std::string& path() const { return path_; }
 

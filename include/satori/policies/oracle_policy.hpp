@@ -45,12 +45,6 @@ class OraclePolicy final : public PartitioningPolicy
     [[nodiscard]] std::string name() const override;
     Configuration decide(const sim::IntervalObservation& obs) override;
 
-    /** Weight on throughput for this oracle. */
-    [[nodiscard]] double weightThroughput() const { return w_t_; }
-
-    /** Weight on fairness for this oracle. */
-    [[nodiscard]] double weightFairness() const { return w_f_; }
-
     /** Access the underlying evaluator (e.g. for distance figures). */
     harness::OfflineEvaluator& evaluator() { return *evaluator_; }
 

@@ -52,9 +52,6 @@ class Job
     /** Completed fixed-work runs (for fixed-work experiments). */
     [[nodiscard]] std::uint64_t completedRuns() const { return completed_runs_; }
 
-    /** Progress through the current fixed-work run, in [0, 1). */
-    [[nodiscard]] double runProgress() const;
-
     /** Restart from scratch (phase 0, zero counters). */
     void reset();
 

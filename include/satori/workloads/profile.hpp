@@ -37,9 +37,6 @@ struct WorkloadProfile
 
     /** Instructions that constitute one complete "run" (fixed work). */
     Instructions fixed_work = 5e10;
-
-    /** Sum of phase lengths (one trip around the cycle). */
-    [[nodiscard]] Instructions cycleLength() const;
 };
 
 /**

@@ -281,7 +281,7 @@ Auditor::checkKernelMatrix(const linalg::Matrix& k, const char* file,
 }
 
 void
-Auditor::checkTrainingSet(const std::vector<RealVec>& inputs,
+Auditor::checkTrainingSet(const linalg::Matrix& inputs,
                           const std::vector<double>& targets,
                           const char* file, int line)
 {
@@ -289,24 +289,15 @@ Auditor::checkTrainingSet(const std::vector<RealVec>& inputs,
         common::MutexLock guard(mutex_);
         ++checks_run_;
     }
-    if (inputs.size() != targets.size()) {
+    if (inputs.rows() != targets.size()) {
         recordViolation(CheckId::BoTrainingSet, file, line,
-                        static_cast<double>(inputs.size()) -
+                        static_cast<double>(inputs.rows()) -
                             static_cast<double>(targets.size()),
-                        std::to_string(inputs.size()) + " inputs vs " +
+                        std::to_string(inputs.rows()) + " inputs vs " +
                             std::to_string(targets.size()) + " targets");
         return;
     }
-    const std::size_t dim = inputs.empty() ? 0 : inputs.front().size();
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (inputs[i].size() != dim) {
-            recordViolation(CheckId::BoTrainingSet, file, line,
-                            static_cast<double>(inputs[i].size()) -
-                                static_cast<double>(dim),
-                            "input " + std::to_string(i) + " has dimension " +
-                                std::to_string(inputs[i].size()) +
-                                ", expected " + std::to_string(dim));
-        }
+    for (std::size_t i = 0; i < targets.size(); ++i) {
         if (!std::isfinite(targets[i])) {
             recordViolation(CheckId::BoTrainingSet, file, line, 0.0,
                             "target " + std::to_string(i) +

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "satori/analysis/invariants.hpp"
 #include "satori/common/logging.hpp"
@@ -35,23 +36,24 @@ BoEngine::BoEngine() : gp_(Matern52Kernel(kLengthScale), kNoiseVariance)
 }
 
 void
-BoEngine::setSamples(const std::vector<RealVec>& inputs,
+BoEngine::setSamples(linalg::Matrix inputs,
                      const std::vector<double>& targets)
 {
-    SATORI_ASSERT(inputs.size() == targets.size());
-    SATORI_ASSERT(!inputs.empty());
+    SATORI_ASSERT(inputs.rows() == targets.size());
+    SATORI_ASSERT(inputs.rows() > 0);
     SATORI_AUDIT_HOOK(analysis::globalAuditor().checkTrainingSet(
         inputs, targets, __FILE__, __LINE__));
     SATORI_OBS_SPAN("bo.fit");
     SATORI_OBS_METRIC(bo_fits.inc());
     ++fits_since_grid_;
     if (fits_since_grid_ >= kGridRefitPeriod &&
-        inputs.size() >= kGridMinSamples) {
+        inputs.rows() >= kGridMinSamples) {
         SATORI_OBS_METRIC(bo_grid_refits.inc());
-        gp_.fitWithLengthScaleGrid(inputs, targets, kLengthScaleGrid);
+        gp_.fitWithLengthScaleGrid(std::move(inputs), targets,
+                                   kLengthScaleGrid);
         fits_since_grid_ = 0;
     } else {
-        gp_.fitIncremental(inputs, targets);
+        gp_.fitIncremental(std::move(inputs), targets);
     }
 }
 

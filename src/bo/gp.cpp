@@ -39,12 +39,12 @@ GaussianProcess::GaussianProcess(Matern52Kernel kernel,
 }
 
 void
-GaussianProcess::fit(const std::vector<RealVec>& inputs,
+GaussianProcess::fit(linalg::Matrix inputs,
                      const std::vector<double>& targets)
 {
-    SATORI_ASSERT(inputs.size() == targets.size());
-    SATORI_ASSERT(!inputs.empty());
-    inputs_ = inputs;
+    SATORI_ASSERT(inputs.rows() == targets.size());
+    SATORI_ASSERT(inputs.rows() > 0);
+    inputs_ = std::move(inputs);
     y_raw_ = targets;
     buildKernelCache();
     refitFromCache();
@@ -53,14 +53,15 @@ GaussianProcess::fit(const std::vector<RealVec>& inputs,
 void
 GaussianProcess::buildKernelCache()
 {
-    const std::size_t n = inputs_.size();
+    const std::size_t n = inputs_.rows();
     k_cache_.reshape(n, n);
     // Row-at-a-time through the batched kernel; symmetric entries are
     // recomputed rather than mirrored, which is bitwise-identical for
     // a stationary kernel (the distance accumulation sees the same
     // operands) and keeps every write contiguous.
     for (std::size_t i = 0; i < n; ++i) {
-        kernel_.covarianceRow(inputs_[i], inputs_, &k_cache_(i, 0));
+        kernel_.covarianceRow(inputs_.rowPtr(i), inputs_.rowPtr(0), n,
+                              inputs_.cols(), &k_cache_(i, 0));
         k_cache_(i, i) += noise_variance_;
     }
 }
@@ -71,7 +72,7 @@ GaussianProcess::refitFromCache()
     SATORI_OBS_SPAN("gp.fit");
     // Only the obs/audit hooks consume n; OBS=OFF + AUDIT=OFF builds
     // compile both away.
-    [[maybe_unused]] const std::size_t n = inputs_.size();
+    [[maybe_unused]] const std::size_t n = inputs_.rows();
     SATORI_OBS_METRIC(gp_fits.inc());
     SATORI_OBS_METRIC(
         gp_training_size.observe(static_cast<double>(n)));
@@ -87,7 +88,7 @@ GaussianProcess::refitFromCache()
 void
 GaussianProcess::standardizeAndSolve()
 {
-    const std::size_t n = inputs_.size();
+    const std::size_t n = inputs_.rows();
     y_mean_ = mean(y_raw_);
     y_scale_ = stddev(y_raw_);
     if (y_scale_ < 1e-12)
@@ -105,15 +106,17 @@ GaussianProcess::standardizeAndSolve()
 }
 
 bool
-GaussianProcess::tryExtendFactor(const RealVec& x)
+GaussianProcess::tryExtendFactor()
 {
-    const std::size_t n = inputs_.size();
+    const std::size_t n = inputs_.rows() - 1;
+    const std::size_t dims = inputs_.cols();
+    const double* x = inputs_.rowPtr(n);
     // The new row, computed exactly as a fresh kernel build would:
     // upper-triangle order is k(existing_i, new), diagonal gets the
     // kernel self-covariance first, then the noise added on top.
     std::vector<double> cross(n);
-    kernel_.covarianceRow(x, inputs_, cross.data());
-    double diag = kernel_.covariance(x, x);
+    kernel_.covarianceRow(x, inputs_.rowPtr(0), n, dims, cross.data());
+    double diag = kernel_.covariance(x, x, dims);
     diag += noise_variance_;
 
     k_cache_.growSquare();
@@ -122,38 +125,37 @@ GaussianProcess::tryExtendFactor(const RealVec& x)
         k_cache_(n, i) = cross[i];
     }
     k_cache_(n, n) = diag;
-    inputs_.push_back(x);
     return chol_->update(cross, diag);
 }
 
 bool
-GaussianProcess::samePrefix(const std::vector<RealVec>& other) const
+GaussianProcess::samePrefix(const linalg::Matrix& other) const
 {
-    for (std::size_t i = 0; i < inputs_.size(); ++i) {
-        if (other[i].size() != inputs_[i].size())
-            return false;
-        // Bitwise comparison on purpose: equality must mean "the
-        // cached factorization is exactly the one a refit would
-        // build"; a spurious mismatch only costs a full refit.
-        if (std::memcmp(other[i].data(), inputs_[i].data(),
-                        inputs_[i].size() * sizeof(double)) != 0)
-            return false;
-    }
-    return true;
+    // Bitwise comparison on purpose: equality must mean "the cached
+    // factorization is exactly the one a refit would build"; a
+    // spurious mismatch only costs a full refit. Row-major blocks of
+    // equal width share their leading rows' layout, so the prefix is
+    // one contiguous run.
+    return other.cols() == inputs_.cols() &&
+           other.rows() >= inputs_.rows() &&
+           std::memcmp(other.rowPtr(0), inputs_.rowPtr(0),
+                       inputs_.rows() * inputs_.cols() *
+                           sizeof(double)) == 0;
 }
 
 void
-GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
+GaussianProcess::fitIncremental(linalg::Matrix inputs,
                                 const std::vector<double>& targets)
 {
-    SATORI_ASSERT(inputs.size() == targets.size());
-    SATORI_ASSERT(!inputs.empty());
-    if (!fitted_ || inputs.size() != inputs_.size() + 1 ||
+    SATORI_ASSERT(inputs.rows() == targets.size());
+    SATORI_ASSERT(inputs.rows() > 0);
+    if (!fitted_ || inputs.rows() != inputs_.rows() + 1 ||
         !samePrefix(inputs)) {
-        fit(inputs, targets);
+        fit(std::move(inputs), targets);
         return;
     }
-    const bool extended = tryExtendFactor(inputs.back());
+    inputs_ = std::move(inputs);
+    const bool extended = tryExtendFactor();
     y_raw_ = targets;
     if (!extended) {
         // SPD failure at the current jitter (e.g. a duplicated input
@@ -166,7 +168,7 @@ GaussianProcess::fitIncremental(const std::vector<RealVec>& inputs,
     SATORI_OBS_SPAN("gp.fit.incremental");
     SATORI_OBS_METRIC(gp_incremental_updates.inc());
     SATORI_AUDIT_HOOK(analysis::globalAuditor().checkCholesky(
-        chol_->jitter(), chol_->conditionEstimate(), inputs_.size(),
+        chol_->jitter(), chol_->conditionEstimate(), inputs_.rows(),
         __FILE__, __LINE__));
     standardizeAndSolve();
 }
@@ -175,9 +177,11 @@ GpPrediction
 GaussianProcess::predict(const RealVec& x) const
 {
     SATORI_ASSERT(fitted_);
-    const std::size_t n = inputs_.size();
+    SATORI_ASSERT(x.size() == inputs_.cols());
+    const std::size_t n = inputs_.rows();
     std::vector<double> kstar(n);
-    kernel_.covarianceRow(x, inputs_, kstar.data());
+    kernel_.covarianceRow(x.data(), inputs_.rowPtr(0), n, inputs_.cols(),
+                          kstar.data());
 
     GpPrediction pred;
     pred.mean = y_mean_ + y_scale_ * linalg::dot(kstar, alpha_);
@@ -196,19 +200,20 @@ GaussianProcess::predictBlocked(const SoaPoints& xs, GpPrediction* preds,
                                 double* means) const
 {
     SATORI_ASSERT(fitted_);
-    const std::size_t n = inputs_.size();
+    SATORI_ASSERT(xs.count() == 0 || xs.dims() == inputs_.cols());
+    const std::size_t n = inputs_.rows();
     for (std::size_t b0 = 0; b0 < xs.count(); b0 += kPredictBlock) {
         const std::size_t b1 = std::min(xs.count(), b0 + kPredictBlock);
         const std::size_t bsz = b1 - b0;
         scratch_.kstar_t.reshape(n, bsz);
         // Cross-covariance block, training-sample-major: row i holds
-        // k(inputs_[i], candidate c) for the whole block. Every
+        // k(training row i, candidate c) for the whole block. Every
         // element is bit-identical to the candidate-major row the
         // per-point path computes (see Matern52Kernel::covarianceCross),
         // the layout just turns the downstream GEMV and multi-solve
         // into contiguous lane-parallel row sweeps.
         for (std::size_t i = 0; i < n; ++i)
-            kernel_.covarianceCross(xs, b0, b1, inputs_[i],
+            kernel_.covarianceCross(xs, b0, b1, inputs_.rowPtr(i),
                                     scratch_.kstar_t.rowPtr(i));
         // mean_std[c] accumulates alpha_[i] * k* in ascending i - the
         // exact linalg::dot order predict() uses, one lane per
@@ -268,19 +273,19 @@ GaussianProcess::logMarginalLikelihood() const
 }
 
 void
-GaussianProcess::fitWithLengthScaleGrid(const std::vector<RealVec>& inputs,
+GaussianProcess::fitWithLengthScaleGrid(linalg::Matrix inputs,
                                         const std::vector<double>& targets,
                                         const std::vector<double>& grid)
 {
     SATORI_ASSERT(!grid.empty());
-    SATORI_ASSERT(inputs.size() == targets.size());
-    SATORI_ASSERT(!inputs.empty());
-    // The training set is copied once; each length scale rebuilds the
-    // kernel cache and factor from it. The standardized targets do not
+    SATORI_ASSERT(inputs.rows() == targets.size());
+    SATORI_ASSERT(inputs.rows() > 0);
+    // The block is kept once; each length scale rebuilds the kernel
+    // cache and factor from it. The standardized targets do not
     // depend on the length scale, so only the kernel, factor, alpha,
     // cache and LML of the best candidate so far are kept aside, and
     // the winner is restored without an extra O(n^3) refit.
-    inputs_ = inputs;
+    inputs_ = std::move(inputs);
     y_raw_ = targets;
     double best_lml = -std::numeric_limits<double>::infinity();
     Matern52Kernel best_kernel = kernel_;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "satori/common/logging.hpp"
-#include "satori/common/math.hpp"
 #include "satori/linalg/simd.hpp"
 
 namespace satori {
@@ -20,7 +19,7 @@ namespace {
  */
 void
 sqDistBlock(const SoaPoints& pts, std::size_t begin, std::size_t count,
-            const RealVec& q, double* out)
+            const double* q, double* out)
 {
     const std::size_t dims = pts.dims();
     constexpr std::size_t kMaxStackDims = 64;
@@ -28,7 +27,7 @@ sqDistBlock(const SoaPoints& pts, std::size_t begin, std::size_t count,
         const double* ptrs[kMaxStackDims];
         for (std::size_t d = 0; d < dims; ++d)
             ptrs[d] = pts.dim(d) + begin;
-        linalg::simd::sqDistInto(out, ptrs, q.data(), dims, count);
+        linalg::simd::sqDistInto(out, ptrs, q, dims, count);
         return;
     }
     for (std::size_t c = 0; c < count; ++c)
@@ -71,25 +70,21 @@ Matern52Kernel::Matern52Kernel(double length_scale, double signal_variance)
 }
 
 double
-Matern52Kernel::covariance(const RealVec& a, const RealVec& b) const
+Matern52Kernel::covariance(const double* a, const double* b,
+                           std::size_t dims) const
 {
-    const double r = euclideanDistance(a, b);
-    const double z = std::sqrt(5.0) * r / length_scale_;
-    return signal_variance_ * (1.0 + z + z * z / 3.0) * std::exp(-z);
+    double k = 0.0;
+    covarianceRow(a, b, 1, dims, &k);
+    return k;
 }
 
 void
-Matern52Kernel::covarianceRow(const RealVec& x,
-                              const std::vector<RealVec>& pts,
+Matern52Kernel::covarianceRow(const double* x, const double* pts,
+                              std::size_t count, std::size_t dims,
                               double* out) const
 {
-    // Element-for-element the same expressions covariance() evaluates
-    // (sqrt(5) is a compile-time constant there too); batching only
-    // keeps the distance accumulation inlined in this loop instead of
-    // paying two function calls per point.
-    const std::size_t dims = x.size();
-    for (std::size_t p = 0; p < pts.size(); ++p) {
-        const RealVec& b = pts[p];
+    for (std::size_t p = 0; p < count; ++p) {
+        const double* b = pts + p * dims;
         double d2 = 0.0;
         for (std::size_t i = 0; i < dims; ++i) {
             const double d = x[i] - b[i];
@@ -104,7 +99,7 @@ Matern52Kernel::covarianceRow(const RealVec& x,
 
 void
 Matern52Kernel::covarianceCross(const SoaPoints& pts, std::size_t begin,
-                                std::size_t end, const RealVec& q,
+                                std::size_t end, const double* q,
                                 double* out) const
 {
     // Squared distances accumulate per dimension in ascending order -
@@ -113,7 +108,6 @@ Matern52Kernel::covarianceCross(const SoaPoints& pts, std::size_t begin,
     // pass (out holds the d^2 block). Bit-identical by construction;
     // simd_test pins the lane/scalar equivalence of sqDistInto.
     SATORI_ASSERT(begin <= end && end <= pts.count());
-    SATORI_ASSERT(pts.dims() == q.size());
     const std::size_t count = end - begin;
     sqDistBlock(pts, begin, count, q, out);
     for (std::size_t c = 0; c < count; ++c) {

@@ -84,24 +84,6 @@ coefficientOfVariation(const std::vector<double>& v)
     return stddev(v) / m;
 }
 
-double
-squaredDistance(const std::vector<double>& a, const std::vector<double>& b)
-{
-    SATORI_ASSERT(a.size() == b.size());
-    double d2 = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double d = a[i] - b[i];
-        d2 += d * d;
-    }
-    return d2;
-}
-
-double
-euclideanDistance(const std::vector<double>& a, const std::vector<double>& b)
-{
-    return std::sqrt(squaredDistance(a, b));
-}
-
 std::uint64_t
 binomial(std::uint64_t n, std::uint64_t k)
 {

@@ -98,14 +98,6 @@ Configuration::equalPartition(const PlatformSpec& platform,
                          std::move(alloc));
 }
 
-RealVec
-Configuration::normalizedVector() const
-{
-    RealVec out(units_.size());
-    normalizedInto(out.data(), 1);
-    return out;
-}
-
 void
 Configuration::normalizedInto(double* out, std::size_t stride) const
 {

@@ -23,7 +23,6 @@ GoalRecorder::add(Configuration config, std::vector<double> goal_values)
 {
     SATORI_ASSERT(goal_values.size() == num_goals_);
     GoalSample s;
-    s.x = config.normalizedVector();
     s.config = std::move(config);
     s.goals = std::move(goal_values);
     samples_.push_back(std::move(s));
@@ -38,13 +37,17 @@ GoalRecorder::sample(std::size_t i) const
     return samples_[i];
 }
 
-std::vector<RealVec>
+linalg::Matrix
 GoalRecorder::inputs() const
 {
-    std::vector<RealVec> out;
-    out.reserve(samples_.size());
-    for (const auto& s : samples_)
-        out.push_back(s.x);
+    if (samples_.empty())
+        return {};
+    const std::size_t dims = samples_.front().config.unitBuffer().size();
+    linalg::Matrix out(samples_.size(), dims);
+    for (std::size_t i = 0; i < samples_.size(); ++i) {
+        SATORI_ASSERT(samples_[i].config.unitBuffer().size() == dims);
+        samples_[i].config.normalizedInto(out.rowPtr(i), 1);
+    }
     return out;
 }
 
@@ -170,7 +173,6 @@ GoalRecorder::restoreState(persist::StateReader& r)
     for (std::size_t i = 0; i < n; ++i) {
         GoalSample s;
         s.config = persist::getConfiguration(r);
-        s.x = s.config.normalizedVector();
         s.goals = r.getDoubleVec();
         if (s.goals.size() != num_goals_)
             SATORI_FATAL("goal-record state sample " +

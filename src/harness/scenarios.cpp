@@ -90,12 +90,5 @@ comparisonPolicyNames()
     return {"Random", "dCAT", "CoPart", "PARTIES", "SATORI"};
 }
 
-std::vector<std::string>
-satoriVariantNames()
-{
-    return {"SATORI", "SATORI-static", "Throughput-SATORI",
-            "Fairness-SATORI"};
-}
-
 } // namespace harness
 } // namespace satori

@@ -104,16 +104,6 @@ std::size_t StatsHistory::approxBytes() const
     return bytes_;
 }
 
-std::vector<std::string> StatsHistory::seriesNames() const
-{
-    common::MutexLock lock(mutex_);
-    std::vector<std::string> names;
-    names.reserve(series_.size());
-    for (const auto& [name, series] : series_)
-        names.push_back(name);
-    return names;
-}
-
 std::optional<SeriesKind>
 StatsHistory::seriesKind(const std::string& series) const
 {

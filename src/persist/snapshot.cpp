@@ -134,17 +134,6 @@ SnapshotReader::SnapshotReader(const std::string& path,
     r.expectEnd();
 }
 
-bool
-SnapshotReader::hasSection(const std::string& tag) const
-{
-    for (const auto& [existing, span] : sections_) {
-        (void)span;
-        if (existing == tag)
-            return true;
-    }
-    return false;
-}
-
 StateReader
 SnapshotReader::section(const std::string& tag) const
 {

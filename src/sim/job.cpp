@@ -37,12 +37,6 @@ Job::retire(Instructions n)
     }
 }
 
-double
-Job::runProgress() const
-{
-    return run_retired_ / profile_.fixed_work;
-}
-
 void
 Job::reset()
 {

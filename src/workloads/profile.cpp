@@ -3,15 +3,6 @@
 namespace satori {
 namespace workloads {
 
-Instructions
-WorkloadProfile::cycleLength() const
-{
-    Instructions total = 0;
-    for (const auto& p : phases)
-        total += p.length;
-    return total;
-}
-
 perfmodel::PhaseParams
 makePhase(std::string label, double base_ipc, double parallel_fraction,
           double mpki_one, double mpki_floor, double mrc_decay_ways,

@@ -19,17 +19,28 @@
 #include "satori/bo/kernel.hpp"
 #include "satori/common/rng.hpp"
 #include "satori/config/enumeration.hpp"
+#include "satori/linalg/matrix.hpp"
 #include "satori/persist/codec.hpp"
 
 namespace satori {
 namespace bo {
 namespace {
 
+/** Pack equal-length points into the GP's row-major training block. */
+linalg::Matrix
+block(const std::vector<RealVec>& xs)
+{
+    linalg::Matrix m(xs.size(), xs.front().size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        std::copy(xs[i].begin(), xs[i].end(), m.rowPtr(i));
+    return m;
+}
+
 TEST(KernelTest, SelfCovarianceIsSignalVariance)
 {
     const Matern52Kernel m(0.5, 2.0);
     const RealVec x{0.1, 0.2};
-    EXPECT_NEAR(m.covariance(x, x), 2.0, 1e-12);
+    EXPECT_NEAR(m.covariance(x.data(), x.data(), 2), 2.0, 1e-12);
     EXPECT_DOUBLE_EQ(m.variance(), 2.0);
 }
 
@@ -37,16 +48,20 @@ TEST(KernelTest, SymmetricAndDecayingWithDistance)
 {
     const Matern52Kernel k(0.4);
     const RealVec a{0.0, 0.0}, b{0.2, 0.1}, c{0.9, 0.9};
-    EXPECT_DOUBLE_EQ(k.covariance(a, b), k.covariance(b, a));
-    EXPECT_GT(k.covariance(a, b), k.covariance(a, c));
-    EXPECT_GT(k.covariance(a, b), 0.0);
+    const auto cov = [&](const RealVec& p, const RealVec& q) {
+        return k.covariance(p.data(), q.data(), 2);
+    };
+    EXPECT_DOUBLE_EQ(cov(a, b), cov(b, a));
+    EXPECT_GT(cov(a, b), cov(a, c));
+    EXPECT_GT(cov(a, b), 0.0);
 }
 
 TEST(KernelTest, LengthScaleControlsReach)
 {
     const RealVec a{0.0}, b{0.5};
     const Matern52Kernel narrow(0.1), wide(1.0);
-    EXPECT_LT(narrow.covariance(a, b), wide.covariance(a, b));
+    EXPECT_LT(narrow.covariance(a.data(), b.data(), 1),
+              wide.covariance(a.data(), b.data(), 1));
 }
 
 TEST(GpTest, InterpolatesTrainingPointsWithLowNoise)
@@ -54,7 +69,7 @@ TEST(GpTest, InterpolatesTrainingPointsWithLowNoise)
     GaussianProcess gp(Matern52Kernel(0.3), 1e-8);
     const std::vector<RealVec> xs{{0.0}, {0.5}, {1.0}};
     const std::vector<double> ys{1.0, 3.0, 2.0};
-    gp.fit(xs, ys);
+    gp.fit(block(xs), ys);
     for (std::size_t i = 0; i < xs.size(); ++i) {
         const auto p = gp.predict(xs[i]);
         EXPECT_NEAR(p.mean, ys[i], 1e-3);
@@ -65,7 +80,7 @@ TEST(GpTest, InterpolatesTrainingPointsWithLowNoise)
 TEST(GpTest, UncertaintyGrowsAwayFromData)
 {
     GaussianProcess gp(Matern52Kernel(0.2), 1e-6);
-    gp.fit({{0.0}, {0.1}}, {1.0, 1.1});
+    gp.fit(block({{0.0}, {0.1}}), {1.0, 1.1});
     const auto near = gp.predict({0.05});
     const auto far = gp.predict({0.9});
     EXPECT_LT(near.variance, far.variance);
@@ -74,7 +89,7 @@ TEST(GpTest, UncertaintyGrowsAwayFromData)
 TEST(GpTest, StandardizationHandlesLargeTargets)
 {
     GaussianProcess gp(Matern52Kernel(0.3), 1e-6);
-    gp.fit({{0.0}, {1.0}}, {1e9, 2e9});
+    gp.fit(block({{0.0}, {1.0}}), {1e9, 2e9});
     const auto p = gp.predict({0.0});
     EXPECT_NEAR(p.mean, 1e9, 1e7);
 }
@@ -82,7 +97,7 @@ TEST(GpTest, StandardizationHandlesLargeTargets)
 TEST(GpTest, ConstantTargetsAreSafe)
 {
     GaussianProcess gp(Matern52Kernel(0.3), 1e-6);
-    gp.fit({{0.0}, {0.5}, {1.0}}, {4.0, 4.0, 4.0});
+    gp.fit(block({{0.0}, {0.5}, {1.0}}), {4.0, 4.0, 4.0});
     EXPECT_NEAR(gp.predict({0.3}).mean, 4.0, 1e-6);
 }
 
@@ -90,7 +105,7 @@ TEST(GpTest, DuplicateInputsDoNotBreakFactorization)
 {
     GaussianProcess gp(Matern52Kernel(0.3), 1e-6);
     // Same x with different noisy ys: jitter path must engage.
-    gp.fit({{0.5}, {0.5}, {0.5}}, {1.0, 1.2, 0.8});
+    gp.fit(block({{0.5}, {0.5}, {0.5}}), {1.0, 1.2, 0.8});
     const auto p = gp.predict({0.5});
     EXPECT_NEAR(p.mean, 1.0, 0.1);
 }
@@ -107,9 +122,9 @@ TEST(GpTest, LengthScaleGridImprovesMarginalLikelihood)
         ys.push_back(std::sin(3.0 * x));
     }
     GaussianProcess gp(Matern52Kernel(0.01), 1e-4);
-    gp.fit(xs, ys);
+    gp.fit(block(xs), ys);
     const double lml_short = gp.logMarginalLikelihood();
-    gp.fitWithLengthScaleGrid(xs, ys, {0.01, 0.1, 0.3, 1.0});
+    gp.fitWithLengthScaleGrid(block(xs), ys, {0.01, 0.1, 0.3, 1.0});
     EXPECT_GE(gp.logMarginalLikelihood(), lml_short);
     EXPECT_GT(gp.kernel().lengthScale(), 0.01);
 }
@@ -136,7 +151,7 @@ expectMatchesFreshFit(const GaussianProcess& gp,
                       Rng& rng, const std::string& what)
 {
     GaussianProcess fresh(gp.kernel(), noise);
-    fresh.fit(xs, ys);
+    fresh.fit(block(xs), ys);
     ASSERT_EQ(gp.numSamples(), fresh.numSamples()) << what;
     EXPECT_EQ(gp.logMarginalLikelihood(), fresh.logMarginalLikelihood())
         << what;
@@ -173,7 +188,7 @@ TEST(GpIncrementalTest, FitIncrementalAppendMatchesFullRefitBitwise)
             y *= 1e6; // violent target-scale shift
         xs.push_back(x);
         ys.push_back(y);
-        incremental.fitIncremental(xs, ys);
+        incremental.fitIncremental(block(xs), ys);
         expectMatchesFreshFit(incremental, xs, ys, 0.05, rng,
                               "step " + std::to_string(step));
     }
@@ -189,7 +204,7 @@ TEST(GpIncrementalTest, NearSingularDuplicatesStillMatchFullRefit)
     GaussianProcess incremental(Matern52Kernel(0.5), 1e-12);
     std::vector<RealVec> xs{randomPoint(rng, 2)};
     std::vector<double> ys{rng.gaussian()};
-    incremental.fitIncremental(xs, ys);
+    incremental.fitIncremental(block(xs), ys);
     for (int step = 0; step < 10; ++step) {
         // Every other step repeats an existing input exactly.
         const RealVec x = (step % 2 == 0)
@@ -197,7 +212,7 @@ TEST(GpIncrementalTest, NearSingularDuplicatesStillMatchFullRefit)
                               : randomPoint(rng, 2);
         xs.push_back(x);
         ys.push_back(rng.gaussian());
-        incremental.fitIncremental(xs, ys);
+        incremental.fitIncremental(block(xs), ys);
         expectMatchesFreshFit(incremental, xs, ys, 1e-12, rng,
                               "step " + std::to_string(step));
     }
@@ -218,20 +233,30 @@ TEST(GpIncrementalTest, FitIncrementalRefreshesTargetsOnSameInputs)
         ys.push_back(rng.gaussian());
     }
     GaussianProcess incremental(Matern52Kernel(0.5), 0.05);
-    incremental.fitIncremental(xs, ys);
+    incremental.fitIncremental(block(xs), ys);
 
     for (int round = 0; round < 5; ++round) {
         for (double& y : ys)
             y = rng.gaussian(0.0, 1.0 + round);
-        incremental.fitIncremental(xs, ys); // same inputs, new targets
+        // Same inputs, new targets.
+        incremental.fitIncremental(block(xs), ys);
         expectMatchesFreshFit(incremental, xs, ys, 0.05, rng,
                               "round " + std::to_string(round));
     }
 
     xs.push_back(randomPoint(rng, 3));
     ys.push_back(rng.gaussian());
-    incremental.fitIncremental(xs, ys);
+    incremental.fitIncremental(block(xs), ys);
     expectMatchesFreshFit(incremental, xs, ys, 0.05, rng, "append");
+
+    // One row longer, but row 0 moved by one ulp: only the bitwise
+    // prefix check tells this from an append of the fitted block.
+    xs[0][0] = std::nextafter(xs[0][0], 2.0);
+    xs.push_back(randomPoint(rng, 3));
+    ys.push_back(rng.gaussian());
+    incremental.fitIncremental(block(xs), ys);
+    expectMatchesFreshFit(incremental, xs, ys, 0.05, rng,
+                          "append, row 0 one ulp off");
 
     // Same-size window, front popped: what a full window feeds on
     // every exploring interval.
@@ -240,7 +265,7 @@ TEST(GpIncrementalTest, FitIncrementalRefreshesTargetsOnSameInputs)
         ys.erase(ys.begin());
         xs.push_back(randomPoint(rng, 3));
         ys.push_back(rng.gaussian());
-        incremental.fitIncremental(xs, ys);
+        incremental.fitIncremental(block(xs), ys);
         expectMatchesFreshFit(incremental, xs, ys, 0.05, rng,
                               "slide " + std::to_string(slide));
     }
@@ -248,7 +273,7 @@ TEST(GpIncrementalTest, FitIncrementalRefreshesTargetsOnSameInputs)
     // Reactivation keeps only the most recent 30 samples.
     const std::vector<RealVec> trimmed(xs.end() - 30, xs.end());
     const std::vector<double> trimmed_y(ys.end() - 30, ys.end());
-    incremental.fitIncremental(trimmed, trimmed_y);
+    incremental.fitIncremental(block(trimmed), trimmed_y);
     expectMatchesFreshFit(incremental, trimmed, trimmed_y, 0.05, rng,
                           "trim");
 }
@@ -263,7 +288,7 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
         ys.push_back(rng.gaussian());
     }
     GaussianProcess gp(Matern52Kernel(0.5), 0.05);
-    gp.fit(xs, ys);
+    gp.fit(block(xs), ys);
 
     std::vector<RealVec> queries;
     for (int q = 0; q < 33; ++q)
@@ -296,14 +321,14 @@ TEST(GpIncrementalTest, GridFitCachingMatchesDirectBestFit)
         ys.push_back(std::sin(3.0 * x) + 0.01 * rng.gaussian());
     }
     GaussianProcess grid_gp(Matern52Kernel(0.05), 1e-4);
-    grid_gp.fitWithLengthScaleGrid(xs, ys, {0.05, 0.2, 0.5, 1.0});
+    grid_gp.fitWithLengthScaleGrid(block(xs), ys, {0.05, 0.2, 0.5, 1.0});
     EXPECT_GT(grid_gp.kernel().lengthScale(), 0.05);
     expectMatchesFreshFit(grid_gp, xs, ys, 1e-4, rng, "grid");
 
     // The grid GP remains incrementally updatable afterwards.
     xs.push_back({1.1});
     ys.push_back(0.5);
-    grid_gp.fitIncremental(xs, ys);
+    grid_gp.fitIncremental(block(xs), ys);
     expectMatchesFreshFit(grid_gp, xs, ys, 1e-4, rng, "grid append");
 }
 
@@ -333,8 +358,8 @@ TEST(EngineIncrementalTest, RestoredFullFitMatchesLiveSuggestions)
         BoEngine restored;
         restored.restoreState(r);
         EXPECT_FALSE(restored.ready()) << what;
-        live.setSamples(xs, ys);
-        restored.setSamples(xs, ys);
+        live.setSamples(block(xs), ys);
+        restored.setSamples(block(xs), ys);
         EXPECT_EQ(live.suggestIndex(packed), restored.suggestIndex(packed))
             << what;
         for (const RealVec& c : candidates) {
@@ -402,7 +427,7 @@ TEST(EngineTest, SuggestsNearMaximumOfSimpleFunction)
         const double x = rng.uniform();
         xs.push_back({x});
         ys.push_back(-(x - 0.7) * (x - 0.7));
-        engine.setSamples(xs, ys);
+        engine.setSamples(block(xs), ys);
     }
     std::vector<RealVec> candidates;
     for (int i = 0; i <= 50; ++i)
@@ -414,7 +439,7 @@ TEST(EngineTest, SuggestsNearMaximumOfSimpleFunction)
 TEST(EngineTest, BestObservedTracksMaximum)
 {
     BoEngine engine;
-    engine.setSamples({{0.0}, {0.5}, {1.0}}, {1.0, 5.0, 3.0});
+    engine.setSamples(block({{0.0}, {0.5}, {1.0}}), {1.0, 5.0, 3.0});
     EXPECT_DOUBLE_EQ(engine.bestObserved(), 5.0);
     EXPECT_EQ(engine.numSamples(), 3u);
 }
@@ -422,8 +447,8 @@ TEST(EngineTest, BestObservedTracksMaximum)
 TEST(EngineTest, SetSamplesReplacesHistory)
 {
     BoEngine engine;
-    engine.setSamples({{0.0}}, {1.0});
-    engine.setSamples({{0.2}, {0.4}}, {2.0, 3.0});
+    engine.setSamples(block({{0.0}}), {1.0});
+    engine.setSamples(block({{0.2}, {0.4}}), {2.0, 3.0});
     EXPECT_EQ(engine.numSamples(), 2u);
     EXPECT_DOUBLE_EQ(engine.bestObserved(), 3.0);
 }
@@ -514,7 +539,7 @@ TEST(GpBatchTest, MeansOnlyPassMatchesFullPredictionMeans)
     std::vector<double> ys;
     makeDataset(40, 3, 41, xs, ys);
     GaussianProcess gp(Matern52Kernel(0.5), 0.05);
-    gp.fit(xs, ys);
+    gp.fit(block(xs), ys);
 
     std::vector<RealVec> queries;
     std::vector<double> qys;
@@ -543,7 +568,7 @@ TEST(EngineTest, StateRoundTripsThroughPersist)
     BoEngine engine;
     std::size_t bytes_at_20 = 0;
     for (std::size_t n = 1; n <= 30; ++n) {
-        engine.setSamples({xs.begin(), xs.begin() + n},
+        engine.setSamples(block({xs.begin(), xs.begin() + n}),
                           {ys.begin(), ys.begin() + n});
         if (n == 20) {
             persist::StateWriter w20;
@@ -559,8 +584,8 @@ TEST(EngineTest, StateRoundTripsThroughPersist)
     BoEngine restored;
     restored.restoreState(r);
     EXPECT_FALSE(restored.ready());
-    engine.setSamples(xs, ys);
-    restored.setSamples(xs, ys);
+    engine.setSamples(block(xs), ys);
+    restored.setSamples(block(xs), ys);
     EXPECT_EQ(restored.numSamples(), engine.numSamples());
     EXPECT_EQ(restored.bestObserved(), engine.bestObserved());
     const SoaPoints packed(candidates);

@@ -135,13 +135,6 @@ TEST(MathHelpers, CoefficientOfVariation)
     EXPECT_NEAR(coefficientOfVariation(v), 0.5, 1e-12);
 }
 
-TEST(MathHelpers, Distances)
-{
-    const std::vector<double> a{0.0, 0.0}, b{3.0, 4.0};
-    EXPECT_DOUBLE_EQ(squaredDistance(a, b), 25.0);
-    EXPECT_DOUBLE_EQ(euclideanDistance(a, b), 5.0);
-}
-
 TEST(MathHelpers, BinomialKnownValues)
 {
     EXPECT_EQ(binomial(0, 0), 1u);

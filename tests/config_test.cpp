@@ -86,12 +86,13 @@ TEST(ConfigurationTest, ValidityChecks)
     EXPECT_FALSE(c.isValidFor(p, 5));
 }
 
-TEST(ConfigurationTest, NormalizedVectorSharesSumToOne)
+TEST(ConfigurationTest, NormalizedSharesSumToOne)
 {
     const PlatformSpec p = PlatformSpec::paperTestbed();
     const Configuration c = Configuration::equalPartition(p, 5);
-    const RealVec v = c.normalizedVector();
-    ASSERT_EQ(v.size(), 15u);
+    ASSERT_EQ(c.unitBuffer().size(), 15u);
+    RealVec v(15);
+    c.normalizedInto(v.data(), 1);
     for (std::size_t r = 0; r < 3; ++r) {
         double sum = 0.0;
         for (std::size_t j = 0; j < 5; ++j)

@@ -141,7 +141,6 @@ TEST(PolicyFactoryTest, ComparisonSetMatchesPaperFigure)
     EXPECT_EQ(names, (std::vector<std::string>{"Random", "dCAT",
                                                "CoPart", "PARTIES",
                                                "SATORI"}));
-    EXPECT_EQ(satoriVariantNames().size(), 4u);
 }
 
 TEST(ComparePoliciesTest, NormalizesAgainstBalancedOracle)

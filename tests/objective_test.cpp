@@ -4,12 +4,18 @@
  * and the per-goal record keeping that supports dynamic reweighting.
  */
 
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "satori/common/logging.hpp"
+#include "satori/common/rng.hpp"
 #include "satori/config/enumeration.hpp"
 #include "satori/core/goal_record.hpp"
 #include "satori/core/objective.hpp"
+#include "satori/linalg/matrix.hpp"
+#include "satori/persist/codec.hpp"
 
 namespace satori {
 namespace core {
@@ -141,12 +147,60 @@ TEST(GoalRecorderTest, WindowEvictsOldest)
     EXPECT_NEAR(rec.sample(0).goals[0], 0.2, 1e-12);
 }
 
-TEST(GoalRecorderTest, InputsMatchNormalizedVectors)
+/** Every inputs() row is bitwise normalizedInto of its sample. */
+void
+expectRowsPackConfigurations(const GoalRecorder& rec,
+                             const std::string& what)
 {
-    GoalRecorder rec(1, 10);
-    const Configuration c = configOf(3, 1);
-    rec.add(c, {0.5});
-    EXPECT_EQ(rec.inputs().front(), c.normalizedVector());
+    const linalg::Matrix x = rec.inputs();
+    ASSERT_EQ(x.rows(), rec.size()) << what;
+    RealVec row(x.cols());
+    for (std::size_t i = 0; i < rec.size(); ++i) {
+        ASSERT_EQ(rec.sample(i).config.unitBuffer().size(), x.cols())
+            << what;
+        rec.sample(i).config.normalizedInto(row.data(), 1);
+        EXPECT_EQ(std::memcmp(x.rowPtr(i), row.data(),
+                              row.size() * sizeof(double)),
+                  0)
+            << what << ", row " << i;
+    }
+}
+
+TEST(GoalRecorderTest, InputsPackNormalizedConfigurationsBitwise)
+{
+    // The GP compares its fitted block against the next inputs()
+    // bit for bit, so the packing must hold across every way the
+    // window changes: eviction, a reactivation trim, and a
+    // checkpoint round trip (which saves configurations only).
+    EXPECT_EQ(GoalRecorder(2, 16).inputs().rows(), 0u);
+    PlatformSpec p;
+    p.addResource(ResourceKind::Cores, 7);
+    p.addResource(ResourceKind::LlcWays, 11);
+    p.addResource(ResourceKind::MemBandwidth, 10);
+    const ConfigurationSpace space(p, 3);
+    Rng rng(31);
+    GoalRecorder rec(2, 16);
+    for (int i = 0; i < 20; ++i)
+        rec.add(space.sample(rng), {rng.uniform(), rng.uniform()});
+    ASSERT_EQ(rec.size(), 16u);
+    expectRowsPackConfigurations(rec, "evicted");
+
+    rec.trimToRecent(9);
+    expectRowsPackConfigurations(rec, "trimmed");
+
+    persist::StateWriter w;
+    rec.saveState(w);
+    GoalRecorder restored(2, 16);
+    persist::StateReader r(w.bytes(), "goal-record");
+    restored.restoreState(r);
+    r.expectEnd();
+    ASSERT_EQ(restored.size(), rec.size());
+    expectRowsPackConfigurations(restored, "restored");
+    const linalg::Matrix before = rec.inputs();
+    const linalg::Matrix after = restored.inputs();
+    EXPECT_EQ(std::memcmp(before.rowPtr(0), after.rowPtr(0),
+                          before.data().size() * sizeof(double)),
+              0);
 }
 
 TEST(GoalRecorderTest, BestByAverageSmoothsNoise)

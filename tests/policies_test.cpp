@@ -220,10 +220,14 @@ TEST(OraclePolicyTest, KindsAndWeights)
     OraclePolicy t(server, OracleKind::Throughput);
     OraclePolicy f(server, OracleKind::Fairness);
     OraclePolicy b(server, OracleKind::Balanced);
-    EXPECT_DOUBLE_EQ(t.weightThroughput(), 1.0);
-    EXPECT_DOUBLE_EQ(t.weightFairness(), 0.0);
-    EXPECT_DOUBLE_EQ(f.weightFairness(), 1.0);
-    EXPECT_DOUBLE_EQ(b.weightThroughput(), 0.5);
+    // Each kind picks the evaluator's optimum under its weights.
+    sim::PerfMonitor monitor(server);
+    const auto obs = monitor.observe(0.1);
+    const auto sig = server.phaseSignature();
+    EXPECT_TRUE(t.decide(obs) ==
+                t.evaluator().bestFor(sig, 1.0, 0.0).config);
+    EXPECT_TRUE(f.decide(obs) ==
+                f.evaluator().bestFor(sig, 0.0, 1.0).config);
     EXPECT_EQ(t.name(), "Throughput-Oracle");
     EXPECT_EQ(f.name(), "Fairness-Oracle");
     EXPECT_EQ(b.name(), "Balanced-Oracle");

@@ -37,14 +37,6 @@ TEST(SuitesTest, EveryProfileIsWellFormed)
                 EXPECT_GE(p.parallel_fraction, 0.0) << w.name;
                 EXPECT_LE(p.parallel_fraction, 1.0) << w.name;
             }
-            EXPECT_DOUBLE_EQ(
-                w.cycleLength(),
-                [&] {
-                    Instructions t = 0;
-                    for (const auto& p : w.phases)
-                        t += p.length;
-                    return t;
-                }());
         }
     }
 }

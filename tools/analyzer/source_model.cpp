@@ -229,7 +229,6 @@ knownDoubleApis()
         "normalPdf",     "normalCdf",     "clamp",
         "mean",          "stddev",        "geomean",
         "harmonicMean",  "coefficientOfVariation",
-        "squaredDistance", "euclideanDistance",
         "amdahlSpeedup", "uniform",       "gaussian",
         "sqrt",          "exp",           "log",
         "pow",           "floor",         "ceil",
