@@ -48,9 +48,16 @@ struct GpPrediction
  * scale changes with the dynamic weights. Every update re-standardizes
  * exactly; the factor never depends on the targets.
  *
+ * The batched prediction paths look every radial kernel value up in
+ * a RadialMemo kept in the prediction scratch, so a sweep computes
+ * each distinct candidate-to-training d^2 once; the fits and predict()
+ * evaluate the kernel directly. Either way the values are
+ * bit-identical.
+ *
  * Thread-safety: const prediction methods reuse internal scratch
- * buffers and are therefore NOT safe to call concurrently on the
- * same instance; distinct instances are fully independent.
+ * buffers (the memo included) and are therefore NOT safe to call
+ * concurrently on the same instance; distinct instances are fully
+ * independent.
  */
 class GaussianProcess
 {
@@ -131,9 +138,11 @@ class GaussianProcess
 
   private:
     /** Working storage for predictBlocked, reused (and grown) across
-     * calls. */
+     * calls. The memo fills on the first prediction and starts over
+     * whenever the kernel's parameters change; it is never persisted. */
     struct BatchScratch
     {
+        RadialMemo memo;        ///< Radial values of the sweep's d^2.
         linalg::Matrix kstar_t; ///< n x B cross-covariance block.
         linalg::Matrix v;       ///< n x B triangular-solve solutions.
         std::vector<double> means;

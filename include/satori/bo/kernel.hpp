@@ -8,6 +8,7 @@
 #ifndef SATORI_BO_KERNEL_HPP
 #define SATORI_BO_KERNEL_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "satori/common/types.hpp"
@@ -55,6 +56,56 @@ class SoaPoints
     std::size_t dims_ = 0;
 };
 
+class Matern52Kernel;
+
+/**
+ * Fixed-size, direct-mapped memo of one Matern52Kernel's radial
+ * function, keyed by the bit pattern of the squared distance d^2.
+ * Candidates and training inputs are unit shares of integer
+ * partitions, so a prediction sweep meets the same d^2 many times;
+ * the memo computes each value once and hands back exactly what the
+ * kernel computes from those bits, so every cached entry is
+ * bit-identical to an uncached one.
+ *
+ * kSlots {key, value} slots, one probe per lookup: the slot is the top
+ * bits of a Fibonacci hash of the key, and a miss computes the value
+ * and overwrites the slot (no probe chains, no fill count, no "full"
+ * state). Empty slots hold the bit pattern of -1.0, which no sum of
+ * squares produces. The slots are allocated on the first lookup, not
+ * at construction, and are refilled empty whenever the bits of the
+ * kernel's (length scale, signal variance) differ from the ones the
+ * memo last served. Holds no state worth persisting: a fresh memo
+ * computes the same values.
+ */
+class RadialMemo
+{
+  public:
+    /** log2 of the slot count. */
+    static constexpr int kSlotBits = 13;
+
+    /** Number of slots: 2^13 {key, value} pairs, 128 KB. */
+    static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
+
+    /** The slot @p d2 maps to. */
+    [[nodiscard]] static std::size_t slotOf(double d2);
+
+  private:
+    friend class Matern52Kernel;
+
+    struct Slot
+    {
+        std::uint64_t key;
+        double value;
+    };
+
+    /** The slots, emptied first if @p kernel's parameters changed. */
+    [[nodiscard]] Slot* slotsFor(const Matern52Kernel& kernel);
+
+    std::vector<Slot> slots_; ///< Empty until the first lookup.
+    std::uint64_t length_bits_ = 0;
+    std::uint64_t variance_bits_ = 0;
+};
+
 /**
  * Matern 5/2 kernel:
  * k(r) = s^2 (1 + sqrt(5) r / l + 5 r^2 / (3 l^2)) exp(-sqrt(5) r / l).
@@ -62,6 +113,10 @@ class SoaPoints
  * Twice-differentiable sample paths: smooth enough for efficient
  * optimization yet not unrealistically smooth for systems data - the
  * standard practical-BO choice (Snoek et al.), and SATORI's.
+ *
+ * One private radial(d^2) evaluates the formula for every entry point;
+ * covarianceCross() (the prediction sweep) goes through a RadialMemo,
+ * covarianceRow() (fits and the per-point predict) does not.
  */
 class Matern52Kernel
 {
@@ -88,15 +143,17 @@ class Matern52Kernel
 
     /**
      * Cross-covariance against the packed points [begin, end):
-     * out[c - begin] = k(q, pts[c]). Every element is bit-identical to
+     * out[c - begin] = k(q, pts[c]), each radial value looked up in
+     * (or added to) @p memo. Every element is bit-identical to
      * covariance(q, pts[c]) - the SoA layout only changes which loop
      * is innermost (the distance accumulation still runs dimensions
-     * in ascending order per point). @pre out has room for
+     * in ascending order per point), and the memo returns what
+     * radial() computes from the same d^2 bits. @pre out has room for
      * end - begin values; @p q has pts.dims() coordinates.
      */
     void covarianceCross(const SoaPoints& pts, std::size_t begin,
                          std::size_t end, const double* q,
-                         double* out) const;
+                         RadialMemo& memo, double* out) const;
 
     /** k(x, x): the signal variance. */
     [[nodiscard]] double variance() const { return signal_variance_; }
@@ -105,6 +162,9 @@ class Matern52Kernel
     [[nodiscard]] double lengthScale() const { return length_scale_; }
 
   private:
+    /** k as a function of the squared distance @p d2. */
+    [[nodiscard]] double radial(double d2) const;
+
     double length_scale_;
     double signal_variance_;
 };

@@ -55,13 +55,15 @@ GaussianProcess::buildKernelCache()
 {
     const std::size_t n = inputs_.rows();
     k_cache_.reshape(n, n);
-    // Row-at-a-time through the batched kernel; symmetric entries are
-    // recomputed rather than mirrored, which is bitwise-identical for
-    // a stationary kernel (the distance accumulation sees the same
-    // operands) and keeps every write contiguous.
+    // Row i computes its upper part j >= i through the batched kernel
+    // and copies j < i from the rows above: a - b == -(b - a) exactly
+    // in IEEE arithmetic, so k(x_j, x_i) is bitwise k(x_i, x_j) and
+    // the mirror is what recomputing would give, at half the work.
     for (std::size_t i = 0; i < n; ++i) {
-        kernel_.covarianceRow(inputs_.rowPtr(i), inputs_.rowPtr(0), n,
-                              inputs_.cols(), &k_cache_(i, 0));
+        for (std::size_t j = 0; j < i; ++j)
+            k_cache_(i, j) = k_cache_(j, i);
+        kernel_.covarianceRow(inputs_.rowPtr(i), inputs_.rowPtr(i), n - i,
+                              inputs_.cols(), &k_cache_(i, i));
         k_cache_(i, i) += noise_variance_;
     }
 }
@@ -214,6 +216,7 @@ GaussianProcess::predictBlocked(const SoaPoints& xs, GpPrediction* preds,
         // into contiguous lane-parallel row sweeps.
         for (std::size_t i = 0; i < n; ++i)
             kernel_.covarianceCross(xs, b0, b1, inputs_.rowPtr(i),
+                                    scratch_.memo,
                                     scratch_.kstar_t.rowPtr(i));
         // mean_std[c] accumulates alpha_[i] * k* in ascending i - the
         // exact linalg::dot order predict() uses, one lane per

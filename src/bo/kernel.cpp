@@ -1,5 +1,6 @@
 #include "satori/bo/kernel.hpp"
 
+#include <bit>
 #include <cmath>
 
 #include "satori/common/logging.hpp"
@@ -36,7 +37,35 @@ sqDistBlock(const SoaPoints& pts, std::size_t begin, std::size_t count,
         linalg::simd::accumSqDiff(out, pts.dim(d) + begin, q[d], count);
 }
 
+/** The key of an empty slot: -1.0 is no sum of squares. */
+constexpr std::uint64_t kEmptyKey = std::bit_cast<std::uint64_t>(-1.0);
+
 } // namespace
+
+std::size_t
+RadialMemo::slotOf(double d2)
+{
+    return static_cast<std::size_t>(
+        (std::bit_cast<std::uint64_t>(d2) * 0x9E3779B97F4A7C15ULL) >>
+        (64 - kSlotBits));
+}
+
+RadialMemo::Slot*
+RadialMemo::slotsFor(const Matern52Kernel& kernel)
+{
+    // Bits, not doubles: a memo serves exactly one parameter pair.
+    const auto length_bits =
+        std::bit_cast<std::uint64_t>(kernel.lengthScale());
+    const auto variance_bits =
+        std::bit_cast<std::uint64_t>(kernel.variance());
+    if (slots_.empty() || length_bits != length_bits_ ||
+        variance_bits != variance_bits_) {
+        slots_.assign(kSlots, Slot{kEmptyKey, 0.0});
+        length_bits_ = length_bits;
+        variance_bits_ = variance_bits;
+    }
+    return slots_.data();
+}
 
 SoaPoints::SoaPoints(const std::vector<RealVec>& pts)
     : count_(pts.size()), dims_(pts.empty() ? 0 : pts.front().size())
@@ -70,6 +99,14 @@ Matern52Kernel::Matern52Kernel(double length_scale, double signal_variance)
 }
 
 double
+Matern52Kernel::radial(double d2) const
+{
+    const double r = std::sqrt(d2);
+    const double z = std::sqrt(5.0) * r / length_scale_;
+    return signal_variance_ * (1.0 + z + z * z / 3.0) * std::exp(-z);
+}
+
+double
 Matern52Kernel::covariance(const double* a, const double* b,
                            std::size_t dims) const
 {
@@ -90,17 +127,14 @@ Matern52Kernel::covarianceRow(const double* x, const double* pts,
             const double d = x[i] - b[i];
             d2 += d * d;
         }
-        const double r = std::sqrt(d2);
-        const double z = std::sqrt(5.0) * r / length_scale_;
-        out[p] = signal_variance_ * (1.0 + z + z * z / 3.0) *
-                 std::exp(-z);
+        out[p] = radial(d2);
     }
 }
 
 void
 Matern52Kernel::covarianceCross(const SoaPoints& pts, std::size_t begin,
                                 std::size_t end, const double* q,
-                                double* out) const
+                                RadialMemo& memo, double* out) const
 {
     // Squared distances accumulate per dimension in ascending order -
     // the same per-element operation sequence covariance() runs, just
@@ -110,11 +144,19 @@ Matern52Kernel::covarianceCross(const SoaPoints& pts, std::size_t begin,
     SATORI_ASSERT(begin <= end && end <= pts.count());
     const std::size_t count = end - begin;
     sqDistBlock(pts, begin, count, q, out);
+    // One probe per entry: a hit returns the value radial() computed
+    // earlier from the same d^2 bits, a miss computes it and takes the
+    // slot.
+    RadialMemo::Slot* slots = memo.slotsFor(*this);
     for (std::size_t c = 0; c < count; ++c) {
-        const double r = std::sqrt(out[c]);
-        const double z = std::sqrt(5.0) * r / length_scale_;
-        out[c] = signal_variance_ * (1.0 + z + z * z / 3.0) *
-                 std::exp(-z);
+        const double d2 = out[c];
+        const auto key = std::bit_cast<std::uint64_t>(d2);
+        RadialMemo::Slot& slot = slots[RadialMemo::slotOf(d2)];
+        if (slot.key != key) {
+            slot.key = key;
+            slot.value = radial(d2);
+        }
+        out[c] = slot.value;
     }
 }
 

@@ -64,6 +64,47 @@ TEST(KernelTest, LengthScaleControlsReach)
               wide.covariance(a.data(), b.data(), 1));
 }
 
+TEST(KernelTest, MemoKeepsCollidingSquaredDistancesApart)
+{
+    // Two d^2 values that share a memo slot, queried alternately (one
+    // point per call, then both in one block): each lookup must return
+    // its own uncached value, never its neighbour's. The same memo
+    // then serves a kernel with another signal variance.
+    const double q[1] = {0.0};
+    double a = 0.0;
+    double b = 0.0;
+    bool found = false;
+    for (int k = 2; !found; ++k) {
+        b = k / 64.0;
+        for (int j = 1; j < k && !found; ++j) {
+            a = j / 64.0;
+            found = RadialMemo::slotOf(a * a) == RadialMemo::slotOf(b * b);
+        }
+    }
+    const Matern52Kernel k(0.3);
+    RadialMemo memo;
+    double out[4] = {};
+    for (int rep = 0; rep < 3; ++rep) {
+        for (double x : {a, b}) {
+            const SoaPoints one(std::vector<RealVec>{{x}});
+            k.covarianceCross(one, 0, 1, q, memo, out);
+            EXPECT_EQ(out[0], k.covariance(q, &x, 1)) << x;
+        }
+    }
+    const SoaPoints both(std::vector<RealVec>{{a}, {b}, {a}, {b}});
+    k.covarianceCross(both, 0, 4, q, memo, out);
+    for (int c = 0; c < 4; ++c) {
+        const double x = c % 2 == 0 ? a : b;
+        EXPECT_EQ(out[c], k.covariance(q, &x, 1)) << c;
+    }
+    const Matern52Kernel k2(0.3, 2.0);
+    k2.covarianceCross(both, 0, 4, q, memo, out);
+    for (int c = 0; c < 4; ++c) {
+        const double x = c % 2 == 0 ? a : b;
+        EXPECT_EQ(out[c], k2.covariance(q, &x, 1)) << c;
+    }
+}
+
 TEST(GpTest, InterpolatesTrainingPointsWithLowNoise)
 {
     GaussianProcess gp(Matern52Kernel(0.3), 1e-8);
@@ -278,33 +319,89 @@ TEST(GpIncrementalTest, FitIncrementalRefreshesTargetsOnSameInputs)
                           "trim");
 }
 
+/** A 5-dimension point on the 1/8 grid, like unit-share inputs: its
+ * squared distances to other grid points repeat. */
+RealVec
+gridPoint(Rng& rng)
+{
+    RealVec x(5);
+    for (double& v : x)
+        v = static_cast<double>(rng.uniformInt(9)) / 8.0;
+    return x;
+}
+
+/** Batch (twice) and means-only predictions equal looped predict(). */
+void
+expectBatchMatchesPredict(const GaussianProcess& gp,
+                          const std::vector<RealVec>& queries,
+                          const std::string& what)
+{
+    const SoaPoints packed(queries);
+    std::vector<GpPrediction> out;
+    std::vector<double> means;
+    for (int pass = 0; pass < 2; ++pass) {
+        gp.predictBatchInto(packed, out);
+        ASSERT_EQ(out.size(), queries.size());
+        for (std::size_t q = 0; q < queries.size(); ++q) {
+            const auto single = gp.predict(queries[q]);
+            EXPECT_EQ(out[q].mean, single.mean) << what << " " << q;
+            EXPECT_EQ(out[q].variance, single.variance) << what << " " << q;
+        }
+    }
+    gp.predictMeansInto(packed, means);
+    ASSERT_EQ(means.size(), queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q)
+        EXPECT_EQ(means[q], gp.predict(queries[q]).mean) << what << " " << q;
+}
+
 TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
 {
+    // Continuous random points never repeat a squared distance; points
+    // on the 1/8 grid repeat them heavily, so there the batch paths
+    // answer most kernel entries from the radial memo (across both
+    // candidate blocks and across calls).
     Rng rng(555);
+    for (const bool grid : {false, true}) {
+        const auto point = [&] {
+            return grid ? gridPoint(rng) : randomPoint(rng, 5);
+        };
+        std::vector<RealVec> xs;
+        std::vector<double> ys;
+        for (int i = 0; i < (grid ? 30 : 20); ++i) {
+            xs.push_back(point());
+            ys.push_back(rng.gaussian());
+        }
+        GaussianProcess gp(Matern52Kernel(0.5), 0.05);
+        gp.fit(block(xs), ys);
+
+        std::vector<RealVec> queries;
+        for (int q = 0; q < (grid ? 300 : 33); ++q)
+            queries.push_back(point());
+        expectBatchMatchesPredict(gp, queries, grid ? "grid" : "random");
+    }
+}
+
+TEST(GpMemoTest, BatchAfterGridRefitMatchesPredictAtNewLengthScale)
+{
+    // A warm memo from one length scale must not answer for another:
+    // after a grid refit moves the length scale (the grid leaves out
+    // the starting 0.5), the same queries meet the same d^2 bits, and
+    // the batch must equal predict() at the new kernel.
+    Rng rng(88);
     std::vector<RealVec> xs;
     std::vector<double> ys;
-    for (int i = 0; i < 20; ++i) {
-        xs.push_back(randomPoint(rng, 5));
-        ys.push_back(rng.gaussian());
+    for (int i = 0; i < 30; ++i) {
+        xs.push_back(gridPoint(rng));
+        ys.push_back(std::sin(3.0 * xs.back()[0]) + xs.back()[1]);
     }
+    std::vector<RealVec> queries;
+    for (int q = 0; q < 100; ++q)
+        queries.push_back(gridPoint(rng));
     GaussianProcess gp(Matern52Kernel(0.5), 0.05);
     gp.fit(block(xs), ys);
-
-    std::vector<RealVec> queries;
-    for (int q = 0; q < 33; ++q)
-        queries.push_back(randomPoint(rng, 5));
-
-    // Two passes through the same scratch: no cross-talk between calls.
-    std::vector<GpPrediction> out;
-    const SoaPoints packed(queries);
-    gp.predictBatchInto(packed, out);
-    gp.predictBatchInto(packed, out);
-    ASSERT_EQ(out.size(), queries.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-        const auto single = gp.predict(queries[q]);
-        EXPECT_EQ(out[q].mean, single.mean) << q;
-        EXPECT_EQ(out[q].variance, single.variance) << q;
-    }
+    expectBatchMatchesPredict(gp, queries, "before");
+    gp.fitWithLengthScaleGrid(block(xs), ys, {0.15, 0.3, 1.0});
+    expectBatchMatchesPredict(gp, queries, "after");
 }
 
 TEST(GpIncrementalTest, GridFitCachingMatchesDirectBestFit)
@@ -341,13 +438,27 @@ TEST(EngineIncrementalTest, RestoredFullFitMatchesLiveSuggestions)
     // the live engine's next training set - one full fit on an
     // unfitted GP - suggests and predicts exactly as the live engine's
     // incremental update does.
+    //
+    // Inputs and candidates are unit-share configurations packed the
+    // way the controller packs them, so the live engine scores from a
+    // warm radial memo and the restored one from a cold memo: the two
+    // must still agree exactly.
     Rng rng(2718);
     BoEngine live;
+    const ConfigurationSpace space(PlatformSpec::paperTestbed(), 3);
+    const auto shares = [](const Configuration& c) {
+        RealVec x(c.unitBuffer().size());
+        c.normalizedInto(x.data(), 1);
+        return x;
+    };
 
-    std::vector<RealVec> candidates;
+    std::vector<Configuration> configs;
     for (int c = 0; c < 24; ++c)
-        candidates.push_back(randomPoint(rng, 3));
-    const SoaPoints packed(candidates);
+        configs.push_back(space.sample(rng));
+    const SoaPoints packed(configs);
+    std::vector<RealVec> candidates;
+    for (const Configuration& c : configs)
+        candidates.push_back(shares(c));
 
     std::vector<RealVec> xs;
     std::vector<double> ys;
@@ -370,21 +481,21 @@ TEST(EngineIncrementalTest, RestoredFullFitMatchesLiveSuggestions)
         }
     };
     for (int i = 0; i < 30; ++i) {
-        xs.push_back(randomPoint(rng, 3));
+        xs.push_back(shares(space.sample(rng)));
         ys.push_back(rng.gaussian());
         step("append " + std::to_string(i));
     }
     for (int i = 0; i < 5; ++i) {
         xs.erase(xs.begin());
         ys.erase(ys.begin());
-        xs.push_back(randomPoint(rng, 3));
+        xs.push_back(shares(space.sample(rng)));
         ys.push_back(rng.gaussian());
         step("slide " + std::to_string(i));
     }
     xs.erase(xs.begin(), xs.end() - 10);
     ys.erase(ys.begin(), ys.end() - 10);
     step("trim");
-    xs.push_back(randomPoint(rng, 3));
+    xs.push_back(shares(space.sample(rng)));
     ys.push_back(rng.gaussian());
     step("append after trim");
 }
