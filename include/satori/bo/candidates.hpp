@@ -67,7 +67,9 @@ class CandidateGenerator
     /**
      * One round of candidates: random samples, all one-unit neighbors
      * of @p incumbent, then (if include_structured) the seeds and the
-     * concentration set, deduplicated by rank.
+     * concentration set, deduplicated by rank. A random sample's rank
+     * comes with its draw (ConfigurationSpace::sampleRanked); only
+     * the neighbors and structured configurations are ranked.
      */
     [[nodiscard]] std::vector<Configuration> generate(const Configuration& incumbent,
                                         Rng& rng) const;

@@ -52,7 +52,12 @@ struct GpPrediction
  * a RadialMemo kept in the prediction scratch, so a sweep computes
  * each distinct candidate-to-training d^2 once; the fits and predict()
  * evaluate the kernel directly. Either way the values are
- * bit-identical.
+ * bit-identical. The sweep also computes a training row's
+ * cross-covariance row once per run of bitwise-equal consecutive rows
+ * (a settled configuration is recorded every interval) and copies it
+ * down the run: the row is a pure function of the input bits, so the
+ * copy is exact. The test is a memcmp of neighbouring rows on every
+ * call; no index of duplicates is kept beside the block.
  *
  * Thread-safety: const prediction methods reuse internal scratch
  * buffers (the memo included) and are therefore NOT safe to call
@@ -152,8 +157,9 @@ class GaussianProcess
     /**
      * The blocked K* sweep behind both batch paths. Writes full
      * predictions for every point to @p preds or, when @p preds is
-     * null, only the posterior means to @p means. Every result is
-     * independent of the block boundaries.
+     * null, only the posterior means to @p means. A training row
+     * bitwise equal to its predecessor copies the predecessor's K*
+     * row. Every result is independent of the block boundaries.
      */
     void predictBlocked(const SoaPoints& xs, GpPrediction* preds,
                         double* means) const;

@@ -52,9 +52,6 @@ class CompositionSpace
     /** Rank of a composition (inverse of at()). */
     [[nodiscard]] std::uint64_t rank(std::span<const int> composition) const;
 
-    /** A uniformly random composition: one rng.uniformInt(size()). */
-    [[nodiscard]] std::span<const int> sample(Rng& rng) const;
-
     /** Units being split. */
     [[nodiscard]] int units() const { return units_; }
 
@@ -94,7 +91,22 @@ class ConfigurationSpace
     /** Rank of a configuration (inverse of at()). */
     [[nodiscard]] std::uint64_t rank(const Configuration& config) const;
 
-    /** A uniformly random configuration. */
+    /** A configuration and its rank(). */
+    struct Ranked
+    {
+        Configuration config;
+        std::uint64_t rank;
+    };
+
+    /**
+     * A uniformly random configuration with its rank: one
+     * rng.uniformInt per resource, in resource order, and the rank is
+     * the mixed-radix number of those draws (each composition's
+     * table index is its rank), so no re-ranking is needed.
+     */
+    [[nodiscard]] Ranked sampleRanked(Rng& rng) const;
+
+    /** A uniformly random configuration: sampleRanked(rng).config. */
     [[nodiscard]] Configuration sample(Rng& rng) const;
 
     /**

@@ -104,9 +104,9 @@ CandidateGenerator::generate(const Configuration& incumbent, Rng& rng) const
     // given (incumbent, rng state) regardless of the table layout.
     RankSet seen(most);
     for (std::size_t i = 0; i < kNumRandom; ++i) {
-        Configuration c = space_.sample(rng);
-        if (seen.insert(space_.rank(c)))
-            out.push_back(std::move(c));
+        ConfigurationSpace::Ranked s = space_.sampleRanked(rng);
+        if (seen.insert(s.rank))
+            out.push_back(std::move(s.config));
     }
     for (auto& n : neighbors)
         if (seen.insert(space_.rank(n)))

@@ -204,6 +204,7 @@ GaussianProcess::predictBlocked(const SoaPoints& xs, GpPrediction* preds,
     SATORI_ASSERT(fitted_);
     SATORI_ASSERT(xs.count() == 0 || xs.dims() == inputs_.cols());
     const std::size_t n = inputs_.rows();
+    const std::size_t row_bytes = inputs_.cols() * sizeof(double);
     for (std::size_t b0 = 0; b0 < xs.count(); b0 += kPredictBlock) {
         const std::size_t b1 = std::min(xs.count(), b0 + kPredictBlock);
         const std::size_t bsz = b1 - b0;
@@ -213,11 +214,22 @@ GaussianProcess::predictBlocked(const SoaPoints& xs, GpPrediction* preds,
         // element is bit-identical to the candidate-major row the
         // per-point path computes (see Matern52Kernel::covarianceCross),
         // the layout just turns the downstream GEMV and multi-solve
-        // into contiguous lane-parallel row sweeps.
-        for (std::size_t i = 0; i < n; ++i)
-            kernel_.covarianceCross(xs, b0, b1, inputs_.rowPtr(i),
-                                    scratch_.memo,
-                                    scratch_.kstar_t.rowPtr(i));
+        // into contiguous lane-parallel row sweeps. A training row
+        // bitwise equal to the one before it (a settled configuration
+        // recorded again) copies that row's result: covarianceCross
+        // reads nothing but the row's bits, the block and the kernel,
+        // so the copy is exactly what the call would write.
+        for (std::size_t i = 0; i < n; ++i) {
+            double* row = scratch_.kstar_t.rowPtr(i);
+            if (i > 0 && std::memcmp(inputs_.rowPtr(i),
+                                     inputs_.rowPtr(i - 1),
+                                     row_bytes) == 0)
+                std::memcpy(row, scratch_.kstar_t.rowPtr(i - 1),
+                            bsz * sizeof(double));
+            else
+                kernel_.covarianceCross(xs, b0, b1, inputs_.rowPtr(i),
+                                        scratch_.memo, row);
+        }
         // mean_std[c] accumulates alpha_[i] * k* in ascending i - the
         // exact linalg::dot order predict() uses, one lane per
         // candidate.

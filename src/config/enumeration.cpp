@@ -105,12 +105,6 @@ CompositionSpace::rank(std::span<const int> composition) const
     return index;
 }
 
-std::span<const int>
-CompositionSpace::sample(Rng& rng) const
-{
-    return at(rng.uniformInt(size_));
-}
-
 ConfigurationSpace::ConfigurationSpace(const PlatformSpec& platform,
                                        std::size_t num_jobs)
     : platform_(platform), num_jobs_(num_jobs)
@@ -151,15 +145,28 @@ ConfigurationSpace::rank(const Configuration& config) const
     return index;
 }
 
+ConfigurationSpace::Ranked
+ConfigurationSpace::sampleRanked(Rng& rng) const
+{
+    std::vector<int> units(per_resource_.size() * num_jobs_);
+    std::uint64_t index = 0;
+    for (std::size_t r = 0; r < per_resource_.size(); ++r) {
+        // A composition's table index is its rank, so the draw is
+        // kept; rank() combines the resources' ranks in this order.
+        const std::uint64_t radix = per_resource_[r].size();
+        const std::uint64_t draw = rng.uniformInt(radix);
+        const std::span<const int> row = per_resource_[r].at(draw);
+        std::copy(row.begin(), row.end(), units.begin() + r * num_jobs_);
+        index = index * radix + draw;
+    }
+    return {Configuration(per_resource_.size(), num_jobs_, std::move(units)),
+            index};
+}
+
 Configuration
 ConfigurationSpace::sample(Rng& rng) const
 {
-    std::vector<int> units(per_resource_.size() * num_jobs_);
-    for (std::size_t r = 0; r < per_resource_.size(); ++r) {
-        const std::span<const int> row = per_resource_[r].sample(rng);
-        std::copy(row.begin(), row.end(), units.begin() + r * num_jobs_);
-    }
-    return Configuration(per_resource_.size(), num_jobs_, std::move(units));
+    return sampleRanked(rng).config;
 }
 
 std::vector<Configuration>

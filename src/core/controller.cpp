@@ -454,10 +454,12 @@ SatoriController::decideCore(const IntervalObservation& obs)
             .config;
     std::vector<Configuration> candidates =
         candgen_.generate(incumbent, rng_);
-    // Fairness-repair candidates: moves of 1-3 units of each resource
+    // Fairness-repair candidates: moves of 2-4 units of each resource
     // from the least- to the most-slowed job, from the incumbent.
     // Multi-unit moves let a single decision cross working-set cliffs
-    // that one-unit explorers are blind to.
+    // that one-unit explorers are blind to. The 1-unit move is one of
+    // the incumbent's neighbors, already in the set under the same
+    // units > 1 condition, so it is applied but not pushed again.
     {
         const std::vector<double> spd =
             speedups(obs.ips, obs.isolation_ips);
@@ -475,7 +477,8 @@ SatoriController::decideCore(const IntervalObservation& obs)
                 for (int step = 0; step < 4; ++step) {
                     if (!c.transferUnit(r, best_j, worst))
                         break;
-                    candidates.push_back(c);
+                    if (step > 0)
+                        candidates.push_back(c);
                 }
             }
         }

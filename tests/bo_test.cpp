@@ -381,6 +381,49 @@ TEST(GpIncrementalTest, PredictBatchMatchesLoopedPredict)
     }
 }
 
+TEST(GpRepeatTest, RepeatedTrainingRowsMatchLoopedPredict)
+{
+    // Repeats of the row before at row 0, in the middle and at the
+    // last row (the batch paths copy those K* rows), plus a row one
+    // ulp away from its predecessor in its last coordinate, which
+    // must be computed. Two candidate blocks.
+    Rng rng(2024);
+    std::vector<RealVec> xs;
+    const auto add = [&](const RealVec& x, int times) {
+        for (int t = 0; t < times; ++t)
+            xs.push_back(x);
+    };
+    add(randomPoint(rng, 5), 3);
+    add(randomPoint(rng, 5), 1);
+    add(randomPoint(rng, 5), 4);
+    RealVec near = xs.back();
+    near.back() = std::nextafter(near.back(), 2.0);
+    add(near, 1);
+    add(randomPoint(rng, 5), 1);
+    add(randomPoint(rng, 5), 2);
+    std::vector<double> ys;
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        ys.push_back(rng.gaussian());
+    GaussianProcess gp(Matern52Kernel(0.5), 0.05);
+    gp.fit(block(xs), ys);
+
+    std::vector<RealVec> queries;
+    for (int q = 0; q < 300; ++q)
+        queries.push_back(randomPoint(rng, 5));
+    // The ulp row must be told apart: some query's covariance with it
+    // differs from the one with its predecessor.
+    const std::size_t ulp_row = 8;
+    ASSERT_EQ(xs[ulp_row], near);
+    const bool tells_apart =
+        std::any_of(queries.begin(), queries.end(), [&](const RealVec& q) {
+            return gp.kernel().covariance(q.data(), xs[ulp_row].data(), 5) !=
+                   gp.kernel().covariance(q.data(),
+                                          xs[ulp_row - 1].data(), 5);
+        });
+    ASSERT_TRUE(tells_apart);
+    expectBatchMatchesPredict(gp, queries, "repeats");
+}
+
 TEST(GpMemoTest, BatchAfterGridRefitMatchesPredictAtNewLengthScale)
 {
     // A warm memo from one length scale must not answer for another:

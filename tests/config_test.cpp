@@ -17,6 +17,7 @@
 #include "satori/common/rng.hpp"
 #include "satori/config/enumeration.hpp"
 #include "satori/config/platform.hpp"
+#include "satori/persist/codec.hpp"
 
 namespace satori {
 namespace {
@@ -203,12 +204,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(10, 5), std::make_pair(11, 5),
                       std::make_pair(6, 6), std::make_pair(9, 1)));
 
-TEST(CompositionSpaceTest, SamplesAreValid)
+TEST(ConfigurationSpaceTest, SamplesAreValidCompositions)
 {
-    CompositionSpace s(11, 5);
+    PlatformSpec p;
+    p.addResource(ResourceKind::Cores, 11);
+    const ConfigurationSpace s(p, 5);
     Rng rng(3);
     for (int i = 0; i < 200; ++i) {
-        const auto comp = s.sample(rng);
+        const Configuration c = s.sample(rng);
+        const auto comp = c.resourceRow(0);
         int sum = 0;
         for (int v : comp) {
             EXPECT_GE(v, 1);
@@ -289,6 +293,28 @@ TEST(ConfigurationSpaceTest, SampledRanksArePinned)
             fnvMix(hash, space.rank(space.sample(rng)), 8);
     }
     EXPECT_EQ(hash, kPinned) << "sampled-rank digest is now " << hex(hash);
+}
+
+TEST(ConfigurationSpaceTest, SampleRankedYieldsTheDrawnConfigurationsRank)
+{
+    // The rank sampleRanked returns is rank() of what it drew, and
+    // sample() draws the same configurations from the same stream.
+    for (const PlatformSpec& p :
+         {PlatformSpec::paperTestbed(), PlatformSpec::extendedTestbed()}) {
+        const ConfigurationSpace space(p, 5);
+        Rng ranked_rng(1);
+        Rng plain_rng(1);
+        for (int i = 0; i < 10000; ++i) {
+            const ConfigurationSpace::Ranked s = space.sampleRanked(ranked_rng);
+            ASSERT_EQ(s.rank, space.rank(s.config)) << "draw " << i;
+            ASSERT_TRUE(s.config == space.sample(plain_rng)) << "draw " << i;
+        }
+        persist::StateWriter ranked_state;
+        persist::StateWriter plain_state;
+        ranked_rng.saveState(ranked_state);
+        plain_rng.saveState(plain_state);
+        EXPECT_EQ(ranked_state.bytes(), plain_state.bytes());
+    }
 }
 
 TEST(ConfigurationSpaceTest, PaperSearchSpaceSizes)
